@@ -1,4 +1,4 @@
-"""Evaluation-throughput benchmark for the parallel + cached subsystem.
+"""Evaluation-throughput benchmark for the batched + cached evaluation path.
 
 Two measurements, emitted together as ``BENCH_eval.json``:
 
@@ -6,12 +6,11 @@ Two measurements, emitted together as ``BENCH_eval.json``:
   ``evaluate`` calls on the same N fresh configs, for N in {1, 8, 64, 512}.
   This isolates the vectorized stress-test path (one numpy pass over an
   ``(N, n_knobs)`` matrix) from any caching effect.
-* **Cached sweep** — configs/sec on a 64-config knob sweep with repeated
+* **Sweep** — configs/sec on a 64-config knob sweep with repeated
   probes — the access pattern of the exploit-around-best moves in
-  ``offline_train`` and of every baseline's re-measurement — comparing
-  plain serial evaluation (cache disabled) against a
-  :class:`~repro.core.parallel.ParallelEvaluator` at 1 and 4 workers,
-  plus the cache hit rate of a real ``offline_train`` run.
+  ``offline_train`` and of every baseline's re-measurement — comparing a
+  serial ``evaluate`` loop against one ``evaluate_many`` call, cache off
+  in both, plus the cache hit rate of a real ``offline_train`` run.
 
 Run from the repository root::
 
@@ -31,7 +30,6 @@ import time
 
 import numpy as np
 
-from repro.core.parallel import ParallelEvaluator
 from repro.core.tuner import CDBTune
 from repro.dbsim import CDB_A, DatabaseCrashError, SimulatedDatabase
 from repro.dbsim.logsystem import crashes_disk_array
@@ -158,32 +156,11 @@ def run_serial_uncached(jobs) -> dict:
             "cache_hit_rate": 0.0}
 
 
-def run_with_evaluator(jobs, workers: int) -> dict:
-    configs = [c for c, _ in jobs]
-    trials = [t for _, t in jobs]
-    walls = []
-    for _ in range(TIMING_RUNS):
-        db = make_database()
-        with ParallelEvaluator(db, workers=workers) as evaluator:
-            # One-time pool spawn happens before the clock starts: a
-            # tuning run reuses the evaluator across hundreds of batches,
-            # so the steady-state rate is the meaningful number.
-            evaluator.warm_up()
-            tick = time.perf_counter()
-            evaluator.evaluate_batch(configs, trials=trials)
-            walls.append(time.perf_counter() - tick)
-    wall = min(walls)
-    return {"wall_s": wall, "configs_per_s": len(jobs) / wall,
-            "stress_tests": db.stress_tests, "cache_hits": db.cache_hits,
-            "cache_hit_rate": db.cache_hits / max(db.evaluations, 1)}
-
-
 def run_offline_train() -> dict:
     tuner = CDBTune(seed=0, noise=0.0)
     tick = time.perf_counter()
     result = tuner.offline_train(CDB_A, "sysbench-rw", max_steps=120,
-                                 probe_every=15, stop_on_convergence=False,
-                                 workers=2)
+                                 probe_every=15, stop_on_convergence=False)
     wall = time.perf_counter() - tick
     counters = result.telemetry.counters
     evaluations = counters.get("evaluations", 0)
@@ -241,16 +218,6 @@ def main() -> None:
     print(f"batched (no cache): {batched_sweep['configs_per_s']:8.1f} "
           f"configs/s  ({batched_sweep['speedup_vs_serial']:.1f}x)")
 
-    by_workers = {}
-    for workers in (1, 4):
-        run = run_with_evaluator(jobs, workers)
-        run["speedup_vs_serial"] = (run["configs_per_s"]
-                                    / serial["configs_per_s"])
-        by_workers[f"workers_{workers}"] = run
-        print(f"evaluator w={workers} (cache): {run['configs_per_s']:8.1f} "
-              f"configs/s  ({run['speedup_vs_serial']:.2f}x, "
-              f"hit rate {run['cache_hit_rate']:.2f})")
-
     training = run_offline_train()
     print(f"offline_train: {training['evaluations']} evaluations, "
           f"{training['cache_hits']} cache hits "
@@ -266,19 +233,14 @@ def main() -> None:
             "requests": len(jobs),
             "serial_uncached": serial,
             "batched_uncached": batched_sweep,
-            **by_workers,
         },
         "offline_train": training,
         "notes": (
             "batched_uncached compares evaluate_many against a scalar "
             "evaluate loop on fresh configs with the cache disabled — "
             "pure vectorization, bitwise-identical observations. "
-            "Repeated probes are answered from the LRU evaluation cache; "
-            "on a single-core container the speedup comes from caching, "
-            "with the worker pool adding throughput on multi-core hosts. "
-            "Evaluator rates are steady-state: the one-time pool spawn is "
-            "warmed up before the clock starts, matching a tuning run "
-            "that reuses one evaluator across hundreds of batches."
+            "offline_train reports how many of a real training run's "
+            "evaluations the LRU evaluation cache answered."
         ),
     }
     with open(args.out, "w") as handle:

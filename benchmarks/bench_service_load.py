@@ -12,10 +12,10 @@ Three phases, all sized so the whole run fits in CI:
 * **Load** (over HTTP): a load generator drives hundreds of concurrent
   tenant sessions through the asyncio front door with a deliberately
   tight queue bound, retrying shed submissions with backoff.  It records
-  the p50/p99 **submit→recommend latency** (accepted ``POST /sessions``
+  the p50/p99 **submit→recommend latency** (accepted ``POST /v1/sessions``
   until the session is first observed RECOMMENDED or beyond), the HTTP
   submit round-trip, the **shed rate**, and the **queue-depth curve**
-  sampled from ``GET /metrics``.
+  sampled from ``GET /v1/metrics``.
 * **Sharded** (multiprocess): a throughput-vs-shards curve over
   :class:`ShardedTuningService` worker *processes* (the single-process
   service is the 1-shard baseline), then a **recovery drill**: submit a
@@ -176,7 +176,7 @@ async def _submit_with_retry(front_door: ServiceFrontDoor,
         attempts += 1
         sent = time.perf_counter()
         status, _, payload = await http_request(
-            "127.0.0.1", front_door.port, "POST", "/sessions", body)
+            "127.0.0.1", front_door.port, "POST", "/v1/sessions", body)
         now = time.perf_counter()
         stats["attempts"] = stats.get("attempts", 0) + 1
         if status == 202:
@@ -197,10 +197,10 @@ async def _watch_completion(front_door: ServiceFrontDoor,
                             recommend_at: Dict[str, float],
                             terminal: Dict[str, str],
                             poll_s: float) -> None:
-    """Poll ``GET /sessions`` until every submitted session is terminal."""
+    """Poll ``GET /v1/sessions`` until every submitted session is terminal."""
     while True:
         _, _, listing = await http_request(
-            "127.0.0.1", front_door.port, "GET", "/sessions")
+            "127.0.0.1", front_door.port, "GET", "/v1/sessions")
         now = time.perf_counter()
         for status in listing["sessions"]:
             session_id = str(status["id"])
@@ -220,7 +220,7 @@ async def _sample_queue_depth(front_door: ServiceFrontDoor,
                               stop: asyncio.Event, poll_s: float) -> None:
     while not stop.is_set():
         _, _, text = await http_request(
-            "127.0.0.1", front_door.port, "GET", "/metrics")
+            "127.0.0.1", front_door.port, "GET", "/v1/metrics")
         for line in text.splitlines():
             if line.startswith("service_queue_depth "):
                 curve.append([round(time.perf_counter() - started, 3),
@@ -266,9 +266,9 @@ async def run_load(sessions: int, tenants: int, workers: int,
     await sampler
 
     _, _, health = await http_request("127.0.0.1", front_door.port, "GET",
-                                      "/healthz")
+                                      "/v1/healthz")
     _, _, metrics_text = await http_request("127.0.0.1", front_door.port,
-                                            "GET", "/metrics")
+                                            "GET", "/v1/metrics")
     shed = rate_limited = 0.0
     for line in metrics_text.splitlines():
         if line.startswith("frontdoor_shed "):

@@ -9,14 +9,11 @@ spent, which is what the §5.1 efficiency comparison is about.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..dbsim.engine import SimulatedDatabase
 from ..dbsim.errors import DatabaseCrashError
 from ..rl.reward import PerformanceSample
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.parallel import ParallelEvaluator
 
 __all__ = ["TuneOutcome", "BaseTuner", "performance_score", "safe_evaluate",
            "batch_evaluate"]
@@ -48,19 +45,14 @@ def safe_evaluate(database: SimulatedDatabase, config: Dict[str, float],
 def batch_evaluate(database: SimulatedDatabase,
                    configs: Sequence[Dict[str, float]],
                    trials: Sequence[int],
-                   evaluator: "ParallelEvaluator | None" = None,
                    ) -> List[PerformanceSample | None]:
     """Evaluate several configs in order; ``None`` marks a crash.
 
-    With an evaluator the batch fans out across its worker pool (and the
-    database's evaluation cache); without one it runs the database's own
-    vectorized batch path in-process.  All paths return identical samples
-    because the simulator is deterministic per (seed, config, trial).
+    One vectorized :meth:`~repro.dbsim.engine.SimulatedDatabase
+    .evaluate_many` pass, with the same samples, cache state and counters
+    as evaluating the configs one by one.
     """
-    if evaluator is not None:
-        observations = evaluator.evaluate_batch(configs, trials=trials)
-    else:
-        observations = database.evaluate_many(configs, trials=list(trials))
+    observations = database.evaluate_many(configs, trials=list(trials))
     return [obs.performance if obs is not None else None
             for obs in observations]
 

@@ -14,15 +14,13 @@ the paper's core criticism — so the tuner carries no state between calls.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .base import (BaseTuner, TuneOutcome, batch_evaluate, performance_score,
                    safe_evaluate)
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.parallel import ParallelEvaluator
 from ..dbsim.engine import SimulatedDatabase
 from ..dbsim.knobs import KnobRegistry
 from ..rl.reward import PerformanceSample
@@ -57,8 +55,8 @@ class BestConfig(BaseTuner):
             samples[:, j] = low[j] + (perm + offsets) * width
         return np.clip(samples, 0.0, 1.0)
 
-    def tune(self, database: SimulatedDatabase, budget: int = 50,
-             evaluator: "ParallelEvaluator | None" = None) -> TuneOutcome:
+    def tune(self, database: SimulatedDatabase,
+             budget: int = 50) -> TuneOutcome:
         """Search with a total stress-test budget (paper gives it 50 steps)."""
         if budget <= 0:
             raise ValueError("budget must be positive")
@@ -87,8 +85,7 @@ class BestConfig(BaseTuner):
             # as one batch.
             configs = [self.registry.from_vector(row) for row in samples]
             trials = [self._next_trial() for _ in configs]
-            perfs = batch_evaluate(database, configs, trials,
-                                   evaluator=evaluator)
+            perfs = batch_evaluate(database, configs, trials)
             for row, config, perf in zip(samples, configs, perfs):
                 history.append((config, perf))
                 spent += 1

@@ -10,15 +10,12 @@ it against OtterTune isolates how much OtterTune's pipeline stages
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .base import (BaseTuner, TuneOutcome, batch_evaluate, performance_score,
                    safe_evaluate)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.parallel import ParallelEvaluator
 from .gp import GaussianProcess
 from ..dbsim.engine import SimulatedDatabase
 from ..dbsim.knobs import KnobRegistry
@@ -72,8 +69,8 @@ class ITuned(BaseTuner):
             samples[:, j] = (perm + self.rng.random(n)) / n
         return samples
 
-    def tune(self, database: SimulatedDatabase, budget: int = 20,
-             evaluator: "ParallelEvaluator | None" = None) -> TuneOutcome:
+    def tune(self, database: SimulatedDatabase,
+             budget: int = 20) -> TuneOutcome:
         if budget <= 0:
             raise ValueError("budget must be positive")
         history: List[Tuple[dict, PerformanceSample | None]] = []
@@ -97,7 +94,7 @@ class ITuned(BaseTuner):
         for _ in configs:
             self._trial += 1
             trials.append(self._trial)
-        perfs = batch_evaluate(database, configs, trials, evaluator=evaluator)
+        perfs = batch_evaluate(database, configs, trials)
         for row, config, perf in zip(rows, configs, perfs):
             history.append((config, perf))
             xs.append(row)

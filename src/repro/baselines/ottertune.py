@@ -21,10 +21,7 @@ the GP's effective length scale collapses and recommendations degrade.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.parallel import ParallelEvaluator
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -111,9 +108,7 @@ class OtterTune(BaseTuner):
     # -- repository building -------------------------------------------------
     def collect_training_data(self, database: SimulatedDatabase,
                               n_samples: int,
-                              workload_label: str | None = None,
-                              evaluator: "ParallelEvaluator | None" = None,
-                              ) -> None:
+                              workload_label: str | None = None) -> None:
         """Populate the repository with random-config observations."""
         label = workload_label or database.workload.name
         baseline = safe_evaluate(database, database.default_config(),
@@ -125,10 +120,7 @@ class OtterTune(BaseTuner):
         configs = [self.registry.random_config(self.rng)
                    for _ in range(n_samples)]
         trials = [self._next_trial() for _ in configs]
-        if evaluator is not None:
-            observations = evaluator.evaluate_batch(configs, trials=trials)
-        else:
-            observations = database.evaluate_many(configs, trials=trials)
+        observations = database.evaluate_many(configs, trials=trials)
         for config, obs in zip(configs, observations):
             if obs is None:
                 continue  # crashed samples carry no metrics

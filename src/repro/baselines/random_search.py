@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -10,9 +10,6 @@ from .base import BaseTuner, TuneOutcome, batch_evaluate, safe_evaluate
 from ..dbsim.engine import SimulatedDatabase
 from ..dbsim.knobs import KnobRegistry
 from ..rl.reward import PerformanceSample
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.parallel import ParallelEvaluator
 
 __all__ = ["RandomSearch"]
 
@@ -27,8 +24,8 @@ class RandomSearch(BaseTuner):
         self.rng = np.random.default_rng(seed)
         self._trial = 0
 
-    def tune(self, database: SimulatedDatabase, budget: int = 20,
-             evaluator: "ParallelEvaluator | None" = None) -> TuneOutcome:
+    def tune(self, database: SimulatedDatabase,
+             budget: int = 20) -> TuneOutcome:
         if budget <= 0:
             raise ValueError("budget must be positive")
         history: List[Tuple[dict, PerformanceSample | None]] = []
@@ -45,6 +42,6 @@ class RandomSearch(BaseTuner):
             self._trial += 1
             configs.append(self.registry.random_config(self.rng))
             trials.append(self._trial)
-        history.extend(zip(configs, batch_evaluate(database, configs, trials,
-                                                   evaluator=evaluator)))
+        history.extend(zip(configs,
+                           batch_evaluate(database, configs, trials)))
         return self._outcome(database, history, initial)

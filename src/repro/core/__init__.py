@@ -10,7 +10,6 @@ from .collector import CollectedSample, MetricsCollector
 from .generator import WorkloadCapture, WorkloadGenerator
 from .memory_pool import MemoryPool
 from .recommender import Recommendation, Recommender
-from .parallel import EvalStats, ParallelEvaluator
 from .pipeline import (
     CONVERGENCE_THRESHOLD,
     CONVERGENCE_WINDOW,
@@ -37,8 +36,6 @@ __all__ = [
     "MemoryPool",
     "Recommendation",
     "Recommender",
-    "EvalStats",
-    "ParallelEvaluator",
     "CONVERGENCE_THRESHOLD",
     "CONVERGENCE_WINDOW",
     "EvalRecord",

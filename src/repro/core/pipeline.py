@@ -10,15 +10,15 @@
   with the best observed performance.
 
 Both pipelines are instrumented through :mod:`repro.obs`: one root span
-per run with child spans per phase (prefetch, episode, probe, distill, the
-per-step actor/critic update), per-phase histograms, and a
+per run with child spans per phase (episode, probe, distill, the per-step
+actor/critic update), per-phase histograms, and a
 :class:`~repro.core.results.Telemetry` block on every result.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,9 +27,6 @@ from .results import EvalRecord, Telemetry, TrainingResult, TuningResult
 from ..obs import get_tracer, profile_block
 from ..rl.ddpg import DDPGAgent
 from ..rl.reward import PerformanceSample
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .parallel import ParallelEvaluator
 
 __all__ = [
     "EvalRecord",
@@ -78,37 +75,6 @@ def _latin_hypercube(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return samples
 
 
-def _prefetch_warmup(env: TuningEnvironment, warmup_plan: np.ndarray,
-                     n_steps: int, episode_length: int,
-                     evaluator: "ParallelEvaluator") -> None:
-    """Warm the database's evaluation cache with the warmup stress tests.
-
-    The latin-hypercube warmup actions are known up front, and (absent
-    crashes) so are the trial numbers they will receive — greedy probes run
-    on saved/restored state and consume none.  Fanning them out as one
-    parallel batch lets the serial training loop hit the cache instead of
-    the simulator.  A crash shifts the trial sequence by one (the restart
-    takes a fresh trial), after which remaining predictions are harmless
-    cache misses that fall back to normal evaluation.
-    """
-    default = env.database.default_config()
-    jobs: List[tuple] = []
-    trial = env._trial
-    steps = 0
-    while steps < n_steps:
-        trial += 1  # each episode reset measures the default configuration
-        jobs.append((default, trial))
-        for _ in range(episode_length):
-            if steps >= n_steps:
-                break
-            trial += 1
-            config = env.action_registry.from_vector(
-                warmup_plan[steps], base=default)
-            jobs.append((config, trial))
-            steps += 1
-    evaluator.prefetch(jobs)
-
-
 def offline_train(env: TuningEnvironment, agent: DDPGAgent,
                   max_steps: int = 300, episode_length: int = 5,
                   updates_per_step: int = 2, probe_every: int = 15,
@@ -117,7 +83,6 @@ def offline_train(env: TuningEnvironment, agent: DDPGAgent,
                   convergence_window: int = CONVERGENCE_WINDOW,
                   stop_on_convergence: bool = True,
                   restore_best: bool = True,
-                  evaluator: "ParallelEvaluator | None" = None,
                   warmup_seeds: np.ndarray | None = None,
                   replay_seeds: "Sequence[Tuple[np.ndarray, float]] | None"
                   = None) -> TrainingResult:
@@ -139,12 +104,6 @@ def offline_train(env: TuningEnvironment, agent: DDPGAgent,
     early-stopping model selection, guarding against late-training policy
     drift.
 
-    Passing an ``evaluator`` (a :class:`~repro.core.parallel
-    .ParallelEvaluator` over this environment's database) prefetches the
-    warmup stress tests across worker processes; results are bitwise
-    identical because every evaluation is deterministic per
-    (config, trial) and merely lands in the cache early.
-
     History bootstrap (:mod:`repro.reuse.history`): ``warmup_seeds`` is a
     ``(m, action_dim)`` matrix of known-good action vectors that replace
     the first ``m`` latin-hypercube warmup rows, so the cold-start phase
@@ -162,8 +121,8 @@ def offline_train(env: TuningEnvironment, agent: DDPGAgent,
     stress_tests_before = database.stress_tests
     crashes_before = env.crashes
     phase_timings: Dict[str, float] = {
-        "prefetch": 0.0, "reset": 0.0, "warmup": 0.0, "train": 0.0,
-        "probe": 0.0, "distill": 0.0,
+        "reset": 0.0, "warmup": 0.0, "train": 0.0, "probe": 0.0,
+        "distill": 0.0,
     }
     rewards: List[float] = []
     probe_throughputs: List[float] = []
@@ -259,13 +218,6 @@ def offline_train(env: TuningEnvironment, agent: DDPGAgent,
     with tracer.span("offline_train", max_steps=max_steps,
                      episode_length=episode_length,
                      warmup_steps=warmup_steps) as run_span:
-        if evaluator is not None and warmup_steps > 0:
-            with tracer.span("offline_train.prefetch"), \
-                    profile_block("offline_train.prefetch",
-                                  phases=phase_timings, phase_key="prefetch"):
-                _prefetch_warmup(env, warmup_plan,
-                                 min(warmup_steps, max_steps),
-                                 episode_length, evaluator)
         while steps < max_steps:
             episodes += 1
             with tracer.span("offline_train.episode", episode=episodes), \

@@ -15,16 +15,10 @@ shape:
 All of them round-trip through ``to_dict()`` / ``from_dict()``; the model
 registry, the audit log and the experiment JSON outputs serialize results
 exclusively through these.
-
-Deprecated aliases (one release): ``TrainingResult.evaluations`` /
-``.cache_hits`` → ``telemetry.counters[...]``, ``.phase_timings`` →
-``telemetry.phase_seconds``, and ``TuningResult.history`` → ``.records``.
-Each emits a :class:`DeprecationWarning` on access.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping
 
@@ -37,11 +31,6 @@ __all__ = [
     "TrainingResult",
     "TuningResult",
 ]
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(f"{old} is deprecated; use {new} instead",
-                  DeprecationWarning, stacklevel=3)
 
 
 def _perf_to_dict(perf: PerformanceSample | None) -> Dict[str, float] | None:
@@ -185,25 +174,6 @@ class TrainingResult:
         return PerformanceSample(throughput=self.probe_throughputs[-1],
                                  latency=self.probe_latencies[-1])
 
-    # -- deprecated aliases (one release) ---------------------------------
-    @property
-    def evaluations(self) -> int:
-        _warn_deprecated("TrainingResult.evaluations",
-                         'telemetry.counters["evaluations"]')
-        return int(self.telemetry.counters.get("evaluations", 0))
-
-    @property
-    def cache_hits(self) -> int:
-        _warn_deprecated("TrainingResult.cache_hits",
-                         'telemetry.counters["cache_hits"]')
-        return int(self.telemetry.counters.get("cache_hits", 0))
-
-    @property
-    def phase_timings(self) -> Dict[str, float]:
-        _warn_deprecated("TrainingResult.phase_timings",
-                         "telemetry.phase_seconds")
-        return dict(self.telemetry.phase_seconds)
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "steps": self.steps,
@@ -255,12 +225,6 @@ class TuningResult:
     def latency_improvement(self) -> float:
         return (self.initial.latency - self.best.latency) / max(
             self.initial.latency, 1e-9)
-
-    # -- deprecated alias (one release) -----------------------------------
-    @property
-    def history(self) -> List[EvalRecord]:
-        _warn_deprecated("TuningResult.history", "TuningResult.records")
-        return self.records
 
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -15,7 +15,6 @@ from typing import Dict, Mapping
 import numpy as np
 
 from .environment import TuningEnvironment
-from .parallel import ParallelEvaluator
 from .pipeline import TrainingResult, TuningResult, offline_train, online_tune
 from .recommender import Recommender
 from ..dbsim.engine import SimulatedDatabase
@@ -135,27 +134,10 @@ class CDBTune:
     # -- offline training ----------------------------------------------------------
     def offline_train(self, hardware: HardwareSpec,
                       workload: WorkloadSpec | str,
-                      workers: int | None = None,
                       **train_kwargs) -> TrainingResult:
-        """Cold-start training on a standard workload (§2.1.1).
-
-        ``workers`` routes the latin-hypercube warmup phase through a
-        :class:`~repro.core.parallel.ParallelEvaluator` — batched through
-        the database's vectorized path even at ``workers=1``, sharded
-        across a process pool above that.  The trajectory is identical
-        either way (the simulator is deterministic per
-        (seed, config, trial)), only wall-clock changes.
-        """
+        """Cold-start training on a standard workload (§2.1.1)."""
         env = self.make_environment(hardware, workload)
-        evaluator = None
-        if workers is not None:
-            evaluator = ParallelEvaluator(env.database, workers=workers)
-        try:
-            result = offline_train(env, self.agent, evaluator=evaluator,
-                                   **train_kwargs)
-        finally:
-            if evaluator is not None:
-                evaluator.close()
+        result = offline_train(env, self.agent, **train_kwargs)
         self.trained = True
         return result
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -152,9 +152,10 @@ class SimulatedDatabase:
     def replica(self) -> "SimulatedDatabase":
         """A fresh instance with identical construction parameters.
 
-        Worker processes of a :class:`~repro.core.parallel.ParallelEvaluator`
-        each hold one replica; identical seeding makes every replica's
-        ``evaluate`` bitwise-identical to the master's.
+        The safety guard's canary measures a candidate on a replica, so the
+        live instance's cache and counters stay untouched; identical seeding
+        makes every replica's ``evaluate`` bitwise-identical to the
+        original's.
         """
         return SimulatedDatabase(self.hardware, self.workload,
                                  registry=self.registry, adapter=self.adapter,
@@ -170,8 +171,8 @@ class SimulatedDatabase:
     def cache_peek(self, key: tuple):
         """Cached result for ``key`` (observation or crash message), or None.
 
-        Does not touch the hit/miss counters; ``evaluate`` and the parallel
-        evaluator account for those themselves.
+        Does not touch the hit/miss counters; ``evaluate`` and
+        ``evaluate_many`` account for those themselves.
         """
         entry = self._cache.get(key)
         if entry is not None:
@@ -251,29 +252,16 @@ class SimulatedDatabase:
         """
         outcomes = self._evaluate_many_outcomes(configs, trials)
         return [payload if status == "ok" else None
-                for status, payload, _ in outcomes]
+                for status, payload in outcomes]
 
     def _evaluate_many_outcomes(
             self, configs: Sequence[Mapping[str, float]],
-            trials: "int | Sequence[int] | None" = None, *,
-            consume: bool = True,
-            compute: "Callable[[np.ndarray, List[int]], list] | None" = None,
-    ) -> List[Tuple[str, "DatabaseObservation | str", bool]]:
-        """Batch evaluation core: per config ``(status, payload, fresh)``.
+            trials: "int | Sequence[int] | None" = None,
+    ) -> List[Tuple[str, "DatabaseObservation | str"]]:
+        """Batch evaluation core: per config ``(status, payload)``.
 
         ``status`` is ``"ok"`` (payload: observation) or ``"crash"``
-        (payload: the crash message).  ``fresh`` is True when a stress test
-        actually ran for this entry (cache miss), False for cache hits and
-        in-batch duplicates.
-
-        ``consume=False`` gives prefetch semantics: stress tests run and
-        results land in the cache, but ``evaluations``/``cache_hits``/
-        ``cache_misses`` and the ``db.evaluate.*`` metric counters stay
-        untouched (only ``stress_tests`` advances).
-
-        ``compute`` overrides how pending rows are scored — the parallel
-        evaluator passes a closure that shards them across workers; all
-        cache and counter bookkeeping stays here either way.
+        (payload: the crash message).
         """
         n_items = len(configs)
         if trials is None:
@@ -285,9 +273,9 @@ class SimulatedDatabase:
             if len(trial_list) != n_items:
                 raise ValueError("trials must align with configs")
         metrics = get_metrics()
-        if consume and n_items:
+        if n_items:
             metrics.counter("db.evaluate.requests").inc(n_items)
-        results: List[Tuple[str, "DatabaseObservation | str", bool]] = (
+        results: List[Tuple[str, "DatabaseObservation | str"]] = (
             [None] * n_items)  # type: ignore[list-item]
         if n_items == 0:
             return results
@@ -296,16 +284,14 @@ class SimulatedDatabase:
         if self.cache_size <= 0:
             # Cache disabled: every config is a fresh stress test, so the
             # whole batch goes through the vectorized fast path at once.
-            if consume:
-                self.evaluations += n_items
+            self.evaluations += n_items
             self.stress_tests += n_items
             rows = registry.values_matrix(configs)
-            outcomes = self._run_stress_batch(rows, trial_list, compute)
-            for i, (status, payload) in enumerate(outcomes):
-                if status == "crash" and consume:
+            outcomes = self._run_stress_batch(rows, trial_list)
+            for status, _payload in outcomes:
+                if status == "crash":
                     metrics.counter("db.evaluate.crashes").inc()
-                results[i] = (status, payload, True)
-            return results
+            return outcomes
 
         # Cache enabled: replay the serial peek/put sequence exactly.  A
         # shared sentinel marks "this key's stress test is pending in this
@@ -325,31 +311,27 @@ class SimulatedDatabase:
         for i, key in enumerate(keys):
             entry = self.cache_peek(key)
             if entry is None:
-                if consume:
-                    self.evaluations += 1
-                    self.cache_misses += 1
+                self.evaluations += 1
+                self.cache_misses += 1
                 self.stress_tests += 1
                 pending.append(i)
                 owner[key] = i
                 self.cache_put(key, sentinel)
             elif entry is sentinel:
                 # In-batch duplicate: a serial run would hit the cache here.
-                if consume:
-                    self.evaluations += 1
-                    self.cache_hits += 1
-                    metrics.counter("db.evaluate.cache_hits").inc()
+                self.evaluations += 1
+                self.cache_hits += 1
+                metrics.counter("db.evaluate.cache_hits").inc()
                 duplicates.append(i)
             else:
-                if consume:
-                    self.evaluations += 1
-                    self.cache_hits += 1
-                    metrics.counter("db.evaluate.cache_hits").inc()
-                    if isinstance(entry, str):  # memoized crash
-                        metrics.counter("db.evaluate.crashes").inc()
-                if isinstance(entry, str):
-                    results[i] = ("crash", entry, False)
+                self.evaluations += 1
+                self.cache_hits += 1
+                metrics.counter("db.evaluate.cache_hits").inc()
+                if isinstance(entry, str):  # memoized crash
+                    metrics.counter("db.evaluate.crashes").inc()
+                    results[i] = ("crash", entry)
                 else:
-                    results[i] = ("ok", entry, False)
+                    results[i] = ("ok", entry)
         if pending:
             defaults = registry.defaults()
             rows = np.empty((len(pending), len(defaults)))
@@ -359,27 +341,23 @@ class SimulatedDatabase:
                 rows[k] = np.fromiter(full_db.values(), dtype=np.float64,
                                       count=rows.shape[1])
             outcomes = self._run_stress_batch(
-                rows, [trial_list[i] for i in pending], compute)
+                rows, [trial_list[i] for i in pending])
             for i, (status, payload) in zip(pending, outcomes):
-                if status == "crash" and consume:
+                if status == "crash":
                     metrics.counter("db.evaluate.crashes").inc()
-                results[i] = (status, payload, True)
+                results[i] = (status, payload)
                 if self._cache.get(keys[i]) is sentinel:
                     # In-place replacement keeps the key's LRU position —
                     # the serial loop stored the result at this very slot.
                     self._cache[keys[i]] = payload
         for i in duplicates:
-            status, payload, _ = results[owner[keys[i]]]
-            if status == "crash" and consume:
+            results[i] = results[owner[keys[i]]]
+            if results[i][0] == "crash":
                 metrics.counter("db.evaluate.crashes").inc()
-            results[i] = (status, payload, False)
         return results
 
-    def _run_stress_batch(self, rows: np.ndarray, trials: List[int],
-                          compute=None) -> list:
-        """Score validated registry-order rows, locally or via ``compute``."""
-        if compute is not None:
-            return compute(rows, trials)
+    def _run_stress_batch(self, rows: np.ndarray, trials: List[int]) -> list:
+        """Score validated registry-order rows under one batch span."""
         with get_tracer().span("db.stress_test_batch", size=len(trials)), \
                 profile_block("db.stress_test_seconds"):
             return self._compute_many(rows, trials)

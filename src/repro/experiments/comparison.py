@@ -17,7 +17,6 @@ from .common import BENCH, Scale, cdb_default_config, format_table
 from ..baselines.bestconfig import BestConfig
 from ..baselines.dba import DBATuner
 from ..baselines.ottertune import OtterTune
-from ..core.parallel import ParallelEvaluator
 from ..core.tuner import CDBTune
 from ..dbsim.engine import SimulatedDatabase
 from ..dbsim.hardware import HardwareSpec
@@ -71,24 +70,16 @@ def run_comparison(hardware: HardwareSpec, workload: WorkloadSpec | str,
                    scale: Scale = BENCH, seed: int = 0,
                    registry: KnobRegistry | None = None,
                    adapter: Mapping[str, str] | None = None,
-                   cdbtune: CDBTune | None = None,
-                   workers: int | None = None) -> ComparisonResult:
+                   cdbtune: CDBTune | None = None) -> ComparisonResult:
     """Run all six systems; pass a pre-trained ``cdbtune`` to reuse a model.
 
-    ``workers`` > 1 routes the batchable phases (BestConfig's DDS rounds,
-    OtterTune's sample collection, CDBTune's warmup) through a
-    :class:`~repro.core.parallel.ParallelEvaluator`; results are identical
-    either way, and ``result.timings`` records what each system cost.
+    ``result.timings`` records what each system cost.
     """
     if isinstance(workload, str):
         workload = get_workload(workload)
     registry = registry if registry is not None else mysql_registry()
     database = SimulatedDatabase(hardware, workload, registry=registry,
                                  adapter=adapter, seed=seed)
-    # workers == 1 keeps the pool unspawned but still batches every
-    # sweep through the database's vectorized in-process path.
-    evaluator = (ParallelEvaluator(database, workers=workers)
-                 if workers is not None else None)
     result = ComparisonResult(workload=workload.name, hardware=hardware.name)
 
     def _timed(system: str, run):
@@ -102,63 +93,56 @@ def run_comparison(hardware: HardwareSpec, workload: WorkloadSpec | str,
         }
         result.performance[system] = performance
 
-    try:
-        # Reference configurations.
-        _timed("MySQL-default", lambda: database.evaluate(
-            database.default_config(), trial=1).performance)
-        _timed("CDB-default", lambda: database.evaluate(
-            cdb_default_config(registry, hardware), trial=2).performance)
+    # Reference configurations.
+    _timed("MySQL-default", lambda: database.evaluate(
+        database.default_config(), trial=1).performance)
+    _timed("CDB-default", lambda: database.evaluate(
+        cdb_default_config(registry, hardware), trial=2).performance)
 
-        # Search- and rule-based baselines.
-        _timed("BestConfig", lambda: BestConfig(
-            registry, seed=seed).tune(
-                database, budget=scale.bestconfig_budget,
-                evaluator=evaluator).best_performance)
-        _timed("DBA", lambda: DBATuner(
-            registry, adapter=adapter).tune(
-                database, budget=6).best_performance)
+    # Search- and rule-based baselines.
+    _timed("BestConfig", lambda: BestConfig(
+        registry, seed=seed).tune(
+            database, budget=scale.bestconfig_budget).best_performance)
+    _timed("DBA", lambda: DBATuner(
+        registry, adapter=adapter).tune(
+            database, budget=6).best_performance)
 
-        # OtterTune: repository of random samples plus DBA experience (§5),
-        # mixed at roughly 20:1.
-        def _run_ottertune():
-            ottertune = OtterTune(registry, seed=seed)
-            ottertune.collect_training_data(database, scale.ottertune_samples,
-                                            evaluator=evaluator)
-            dba_config = DBATuner(registry, adapter=adapter).recommend(
-                hardware, workload)
-            ottertune.seed_dba_experience(
-                database, dba_config, max(scale.ottertune_samples // 20, 1))
-            return ottertune.tune(
-                database, budget=scale.ottertune_budget).best_performance
-        _timed("OtterTune", _run_ottertune)
+    # OtterTune: repository of random samples plus DBA experience (§5),
+    # mixed at roughly 20:1.
+    def _run_ottertune():
+        ottertune = OtterTune(registry, seed=seed)
+        ottertune.collect_training_data(database, scale.ottertune_samples)
+        dba_config = DBATuner(registry, adapter=adapter).recommend(
+            hardware, workload)
+        ottertune.seed_dba_experience(
+            database, dba_config, max(scale.ottertune_samples // 20, 1))
+        return ottertune.tune(
+            database, budget=scale.ottertune_budget).best_performance
+    _timed("OtterTune", _run_ottertune)
 
-        # CDBTune: offline-train once (unless a pre-trained model is
-        # supplied), then serve the request in the paper's 5 online steps.
-        # It runs against its own databases, so its evaluation counts come
-        # from the TrainingResult rather than the shared instance above.
-        training_cost: Dict[str, float] = {}
+    # CDBTune: offline-train once (unless a pre-trained model is
+    # supplied), then serve the request in the paper's 5 online steps.
+    # It runs against its own databases, so its evaluation counts come
+    # from the TrainingResult rather than the shared instance above.
+    training_cost: Dict[str, float] = {}
 
-        def _run_cdbtune():
-            tuner = cdbtune
-            if tuner is None:
-                tuner = CDBTune(registry=registry, adapter=adapter, seed=seed)
-                training = tuner.offline_train(hardware, workload,
-                                               max_steps=scale.train_steps,
-                                               probe_every=scale.probe_every,
-                                               stop_on_convergence=False,
-                                               workers=workers)
-                counters = training.telemetry.counters
-                training_cost["evaluations"] = float(
-                    counters.get("evaluations", 0))
-                training_cost["cache_hits"] = float(
-                    counters.get("cache_hits", 0))
-            return tuner.tune(
-                hardware, workload, steps=scale.tune_steps).best
-        _timed("CDBTune", _run_cdbtune)
-        result.timings["CDBTune"].update(training_cost)
-    finally:
-        if evaluator is not None:
-            evaluator.close()
+    def _run_cdbtune():
+        tuner = cdbtune
+        if tuner is None:
+            tuner = CDBTune(registry=registry, adapter=adapter, seed=seed)
+            training = tuner.offline_train(hardware, workload,
+                                           max_steps=scale.train_steps,
+                                           probe_every=scale.probe_every,
+                                           stop_on_convergence=False)
+            counters = training.telemetry.counters
+            training_cost["evaluations"] = float(
+                counters.get("evaluations", 0))
+            training_cost["cache_hits"] = float(
+                counters.get("cache_hits", 0))
+        return tuner.tune(
+            hardware, workload, steps=scale.tune_steps).best
+    _timed("CDBTune", _run_cdbtune)
+    result.timings["CDBTune"].update(training_cost)
     return result
 
 

@@ -21,7 +21,6 @@ import numpy as np
 from .common import BENCH, Scale, format_table
 from ..baselines.dba import DBATuner, dba_rule_config
 from ..baselines.ottertune import OtterTune
-from ..core.parallel import ParallelEvaluator
 from ..core.tuner import CDBTune
 from ..dbsim.engine import SimulatedDatabase
 from ..dbsim.hardware import CDB_B, HardwareSpec
@@ -86,19 +85,9 @@ class KnobCountResult:
         return self.knob_counts[int(np.argmax(series))]
 
 
-def _make_evaluator(database: SimulatedDatabase,
-                    workers: int | None) -> ParallelEvaluator | None:
-    # workers == 1 still pays off: the evaluator batches every sweep
-    # through the database's vectorized in-process path (no pool spawned).
-    if workers is None:
-        return None
-    return ParallelEvaluator(database, workers=workers)
-
-
 def _run_knob_sweep(ranking: List[str], ordering: str,
                     knob_counts: List[int], hardware: HardwareSpec,
-                    scale: Scale, seed: int,
-                    workers: int | None = None) -> KnobCountResult:
+                    scale: Scale, seed: int) -> KnobCountResult:
     registry = mysql_registry()
     workload = get_workload("tpcc")
     result = KnobCountResult(ordering=ordering, knob_counts=list(knob_counts))
@@ -110,19 +99,15 @@ def _run_knob_sweep(ranking: List[str], ordering: str,
         subset = registry.subset(ranking[:count])
         database = SimulatedDatabase(hardware, workload, registry=registry,
                                      seed=seed)
-        evaluator = _make_evaluator(database, workers)
 
         # CDBTune: agent whose action space is exactly this subset, over
         # a database exposing the full catalog (untuned knobs stay default).
         tuner = CDBTune(registry=subset, db_registry=registry, seed=seed)
         env = tuner.make_environment(hardware, workload)
-        train_evaluator = _make_evaluator(env.database, workers)
         from ..core.pipeline import offline_train, online_tune
         offline_train(env, tuner.agent, max_steps=scale.train_steps,
                       probe_every=scale.probe_every,
-                      stop_on_convergence=False, evaluator=train_evaluator)
-        if train_evaluator is not None:
-            train_evaluator.close()
+                      stop_on_convergence=False)
         run = online_tune(env, tuner.agent, steps=scale.tune_steps)
         result.throughput["CDBTune"].append(run.best.throughput)
         result.latency["CDBTune"].append(run.best.latency)
@@ -149,14 +134,11 @@ def _run_knob_sweep(ranking: List[str], ordering: str,
         # OtterTune on the subset.
         ottertune = OtterTune(subset, seed=seed,
                               top_knobs=min(10, subset.n_tunable))
-        ottertune.collect_training_data(database, scale.ottertune_samples,
-                                        evaluator=evaluator)
+        ottertune.collect_training_data(database, scale.ottertune_samples)
         outcome = ottertune.tune(database, budget=scale.ottertune_budget)
         result.throughput["OtterTune"].append(
             outcome.best_performance.throughput)
         result.latency["OtterTune"].append(outcome.best_performance.latency)
-        if evaluator is not None:
-            evaluator.close()
     return result
 
 
@@ -170,18 +152,17 @@ def _evaluate_or_none(database: SimulatedDatabase, config):
 
 def run_fig6(knob_counts: List[int] | None = None,
              hardware: HardwareSpec = CDB_B, scale: Scale = BENCH,
-             seed: int = 0, workers: int | None = None) -> KnobCountResult:
+             seed: int = 0) -> KnobCountResult:
     """Figure 6: knob prefixes in DBA importance order."""
     registry = mysql_registry()
     ranking = dba_knob_ranking(registry)
     counts = knob_counts or [20, 60, 140, 266]
-    return _run_knob_sweep(ranking, "dba", counts, hardware, scale, seed,
-                           workers=workers)
+    return _run_knob_sweep(ranking, "dba", counts, hardware, scale, seed)
 
 
 def run_fig7(knob_counts: List[int] | None = None,
              hardware: HardwareSpec = CDB_B, scale: Scale = BENCH,
-             seed: int = 0, workers: int | None = None) -> KnobCountResult:
+             seed: int = 0) -> KnobCountResult:
     """Figure 7: knob prefixes in OtterTune's Lasso order."""
     registry = mysql_registry()
     database = SimulatedDatabase(hardware, get_workload("tpcc"),
@@ -190,8 +171,8 @@ def run_fig7(knob_counts: List[int] | None = None,
                                      n_samples=scale.ottertune_samples,
                                      seed=seed)
     counts = knob_counts or [20, 60, 140, 266]
-    return _run_knob_sweep(ranking, "ottertune", counts, hardware, scale, seed,
-                           workers=workers)
+    return _run_knob_sweep(ranking, "ottertune", counts, hardware, scale,
+                           seed)
 
 
 @dataclass
@@ -212,7 +193,7 @@ class Fig8Result:
 
 def run_fig8(knob_counts: List[int] | None = None,
              hardware: HardwareSpec = CDB_B, scale: Scale = BENCH,
-             seed: int = 0, workers: int | None = None) -> Fig8Result:
+             seed: int = 0) -> Fig8Result:
     """Random nested subsets (each extends the previous), CDBTune only.
 
     Also records training iterations: larger action spaces need more
@@ -232,14 +213,10 @@ def run_fig8(knob_counts: List[int] | None = None,
         subset = registry.subset(order[:count])
         tuner = CDBTune(registry=subset, db_registry=registry, seed=seed)
         env = tuner.make_environment(hardware, workload)
-        evaluator = _make_evaluator(env.database, workers)
         training = offline_train(env, tuner.agent,
                                  max_steps=scale.train_steps,
                                  probe_every=scale.probe_every,
-                                 stop_on_convergence=False,
-                                 evaluator=evaluator)
-        if evaluator is not None:
-            evaluator.close()
+                                 stop_on_convergence=False)
         run = online_tune(env, tuner.agent, steps=scale.tune_steps)
         result.throughput.append(run.best.throughput)
         result.latency.append(run.best.latency)

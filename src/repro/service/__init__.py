@@ -16,7 +16,7 @@ recovery.
 
 from .audit import AuditLog
 from .frontdoor import ServiceFrontDoor, TokenBucket
-from .recommendation import DeprecatedKeyDict, Recommendation, wrap_status
+from .recommendation import Recommendation
 from .registry import ModelEntry, ModelRegistry, hardware_distance
 from .safety import SLA, CanaryVerdict, DeploymentRecord, SafetyGuard
 from .server import (
@@ -38,9 +38,7 @@ __all__ = [
     "CanaryVerdict",
     "DeploymentRecord",
     "SafetyGuard",
-    "DeprecatedKeyDict",
     "Recommendation",
-    "wrap_status",
     "QueueFullError",
     "ServiceFrontDoor",
     "SessionState",

@@ -11,9 +11,9 @@ Two modes:
   ``--metrics-out`` writes the metrics snapshot as JSON.
 * **Server** (``repro-service serve``): runs the asynchronous HTTP front
   door of :mod:`repro.service.frontdoor` — submissions arrive as
-  ``POST /sessions``, backpressure is enforced by the queue-depth bound
-  and per-tenant token buckets, metrics are scrapeable at ``/metrics``,
-  and ``POST /shutdown`` drains gracefully.
+  ``POST /v1/sessions``, backpressure is enforced by the queue-depth bound
+  and per-tenant token buckets, metrics are scrapeable at ``/v1/metrics``,
+  and ``POST /v1/shutdown`` drains gracefully.
 
 Examples::
 
@@ -101,8 +101,9 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-service serve",
         description="Serve the tuning service over the asynchronous HTTP "
-                    "front door (POST /sessions, GET /sessions[/{id}], "
-                    "GET /metrics, GET /healthz, POST /shutdown).")
+                    "front door (POST /v1/sessions, "
+                    "GET /v1/sessions[/{id}], GET /v1/metrics, "
+                    "GET /v1/healthz, POST /v1/shutdown).")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8421,
                         help="listen port (0 picks a free one; default "
@@ -119,7 +120,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
                         help="evict terminal session records past this "
                              "count (default: retain everything)")
     parser.add_argument("--max-queue-depth", type=int, default=64,
-                        help="shed POST /sessions with 429 past this many "
+                        help="shed POST /v1/sessions with 429 past this many "
                              "queued sessions (default 64)")
     parser.add_argument("--tenant-rate", type=float, default=8.0,
                         help="per-tenant token-bucket refill, "
@@ -194,7 +195,7 @@ def serve_main(argv: List[str] | None = None) -> int:
                     return child
 
                 service.shard_factory = factory
-                # The parent never predicts, but /healthz reports
+                # The parent never predicts, but /v1/healthz reports
                 # oneshot readiness off this attribute.
                 service.oneshot = oneshot
         else:

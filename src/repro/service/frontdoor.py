@@ -7,7 +7,8 @@ module is that layer, built entirely on the standard library
 (``asyncio.start_server`` + a small HTTP/1.1 parser — dependencies are
 frozen, so no aiohttp):
 
-The HTTP surface is versioned under ``/v1`` (the canonical form):
+The HTTP surface is versioned under ``/v1``; an unversioned path answers
+``404`` like any unknown route:
 
 * ``POST /v1/sessions``  — submit a tuning request (JSON body); ``202``
   with the session and trace ids, ``429`` when shed;
@@ -21,13 +22,6 @@ The HTTP surface is versioned under ``/v1`` (the canonical form):
   flag, one-shot recommender readiness;
 * ``POST /v1/shutdown``  — graceful drain (finish queued + in-flight
   sessions) and stop, or immediate cancel with ``{"drain": false}``.
-
-Unversioned paths keep working for one release: ``GET`` answers ``308
-Permanent Redirect`` to the ``/v1`` form, ``POST`` is served as a
-transparent alias; both carry a ``Deprecation: true`` response header
-plus a ``Link: ...; rel="successor-version"`` pointer so clients can
-migrate mechanically.  The bundled :func:`http_request` client follows
-the redirect (pass ``follow_redirects=False`` to see the 308 itself).
 
 Backpressure is two-staged, both knobs configurable:
 
@@ -46,7 +40,7 @@ when the request is accepted, the ``frontdoor.request`` span joins it,
 and it is handed to :meth:`TuningService.submit` so every session span
 and audit record downstream shares it.  Shed counts, rate-limit counts,
 queue depth and request latencies are recorded in the metrics registry
-and visible at ``/metrics``.
+and visible at ``/v1/metrics``.
 """
 
 from __future__ import annotations
@@ -67,8 +61,7 @@ logger = get_logger(__name__)
 __all__ = ["ServiceFrontDoor", "TokenBucket", "http_request"]
 
 _REASONS = {
-    200: "OK", 202: "Accepted", 308: "Permanent Redirect",
-    400: "Bad Request", 404: "Not Found",
+    200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 410: "Gone", 413: "Payload Too Large",
     429: "Too Many Requests", 500: "Internal Server Error",
     503: "Service Unavailable",
@@ -90,11 +83,11 @@ class _HttpError(Exception):
         self.status = int(status)
         self.message = str(message)
 
-#: Fields a ``POST /sessions`` body may carry (anything else is a 400 —
-#: a typoed knob silently ignored is worse than a rejected request).
+#: Fields a ``POST /v1/sessions`` body may carry (anything else is a 400
+#: — a typoed knob silently ignored is worse than a rejected request).
 _REQUEST_FIELDS = frozenset({
     "workload", "hardware", "tenant", "priority", "train_steps",
-    "tune_steps", "current_config", "seed", "noise", "eval_workers",
+    "tune_steps", "current_config", "seed", "noise",
     "mode", "warm_start", "train_kwargs", "compress",
     "compress_components", "reuse_history", "history_seeds",
     "history_replay", "verify_top_k",
@@ -160,7 +153,7 @@ class ServiceFrontDoor:
         after :meth:`start`).
     max_queue_depth:
         Queue-depth bound enforced atomically at submit; past it
-        ``POST /sessions`` sheds with ``429 queue-full``.
+        ``POST /v1/sessions`` sheds with ``429 queue-full``.
     tenant_rate, tenant_burst:
         Per-tenant token-bucket refill rate (submissions/second) and
         burst capacity.
@@ -228,7 +221,7 @@ class ServiceFrontDoor:
         return self
 
     async def serve_forever(self) -> None:
-        """Run until a ``POST /shutdown`` (or :meth:`shutdown`) completes."""
+        """Run until ``POST /v1/shutdown`` (or :meth:`shutdown`) completes."""
         await self.start()
         assert self._stopped is not None
         await self._stopped.wait()
@@ -371,36 +364,11 @@ class ServiceFrontDoor:
 
     def _route(self, method: str, path: str, body: bytes, trace_id: str | None,
                ) -> Tuple[int, object, Dict[str, str]]:
-        """Version handling, then dispatch.
-
-        ``/v1/...`` is canonical.  A *known* unversioned path is served
-        one more release: ``GET`` answers a 308 redirect to the ``/v1``
-        form (safe to replay), anything else is aliased transparently —
-        a 308 would force clients to re-send the body they just sent.
-        Both carry ``Deprecation`` + ``Link`` headers.  Unknown paths
-        404 either way.
-        """
+        """Strip the ``/v1`` prefix, then dispatch; anything else is 404."""
         if path == _API_PREFIX or path.startswith(_API_PREFIX + "/"):
-            bare = path[len(_API_PREFIX):] or "/"
-            return self._route_bare(method, bare, body, trace_id)
-        if self._known_path(path):
-            deprecation = {
-                "Deprecation": "true",
-                "Link": f'<{_API_PREFIX}{path}>; rel="successor-version"',
-            }
-            if method == "GET":
-                location = _API_PREFIX + path
-                return 308, {"location": location}, {
-                    "Location": location, **deprecation}
-            status, payload, extra = self._route_bare(method, path, body,
-                                                      trace_id)
-            return status, payload, {**extra, **deprecation}
+            return self._route_bare(method, path[len(_API_PREFIX):] or "/",
+                                    body, trace_id)
         return 404, {"error": f"no route for {method} {path}"}, {}
-
-    @staticmethod
-    def _known_path(path: str) -> bool:
-        return (path in ("/sessions", "/metrics", "/healthz", "/shutdown")
-                or path.startswith("/sessions/"))
 
     def _route_bare(self, method: str, path: str, body: bytes,
                     trace_id: str | None,
@@ -504,7 +472,8 @@ class ServiceFrontDoor:
                 return self._bad_body(
                     f"field {nested!r} must be a JSON object")
         hardware_name = payload.pop("hardware", "CDB-A")
-        if hardware_name not in INSTANCES:
+        if not isinstance(hardware_name, str) \
+                or hardware_name not in INSTANCES:
             return self._bad_body(
                 f"unknown hardware {hardware_name!r}; "
                 f"options: {sorted(INSTANCES)}")
@@ -585,14 +554,11 @@ def _render_response(status: int, payload: object,
 async def http_request(host: str, port: int, method: str, path: str,
                        body: object = None,
                        timeout: float = 30.0,
-                       follow_redirects: bool = True,
                        ) -> Tuple[int, Dict[str, str], object]:
     """Minimal stdlib HTTP client for the front door (benchmarks, tests).
 
     Returns ``(status, headers, payload)`` where ``payload`` is parsed
     JSON for ``application/json`` responses and raw text otherwise.
-    Follows one 308 redirect (the legacy-path → ``/v1`` hop) unless
-    ``follow_redirects=False``.
     """
     raw = b""
     if body is not None:
@@ -624,10 +590,6 @@ async def http_request(host: str, port: int, method: str, path: str,
             await writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError):
             pass
-    if status == 308 and follow_redirects and "location" in headers:
-        return await http_request(host, port, method, headers["location"],
-                                  body=body, timeout=timeout,
-                                  follow_redirects=False)
     if headers.get("content-type", "").startswith("application/json"):
         return status, headers, json.loads(payload_bytes or b"null")
     return status, headers, payload_bytes.decode("utf-8", "replace")

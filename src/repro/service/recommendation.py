@@ -17,22 +17,14 @@ result.  :class:`Recommendation` carries that provenance:
 ``verified``
     Whether the config was measured on the tenant's full workload (staged
     verification or an accepted canary) rather than merely predicted.
-
-The legacy flat ``recommended_config`` key stays readable in session
-snapshots for one release via :class:`DeprecatedKeyDict`, which warns on
-access; JSON rendering iterates items and stays warning-free, so the CI
-job that runs with ``-W error::DeprecationWarning`` proves the service
-itself never reads the old key.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional
 
-__all__ = ["Recommendation", "DeprecatedKeyDict", "SNAPSHOT_DEPRECATIONS",
-           "SOURCES", "wrap_status"]
+__all__ = ["Recommendation", "SOURCES"]
 
 #: Valid provenance labels, in increasing order of effort spent.
 SOURCES = ("oneshot", "warm", "cold", "refined")
@@ -84,57 +76,3 @@ class Recommendation:
             verified=bool(data.get("verified", False)),
         )
 
-
-class DeprecatedKeyDict(dict):
-    """A dict that warns when deprecated keys are *read*.
-
-    Serialization paths (``json.dumps``, ``dict(...)``, ``.items()``)
-    iterate the mapping and never hit ``__getitem__``/``get``, so the
-    legacy key still travels to clients without tripping the
-    deprecation-clean CI job; only code that actually reads it warns.
-    """
-
-    def __init__(self, data: Mapping[str, object],
-                 deprecated: Mapping[str, str]) -> None:
-        super().__init__(data)
-        self._deprecated = dict(deprecated)
-
-    def _warn(self, key: object) -> None:
-        replacement = self._deprecated.get(key)  # type: ignore[arg-type]
-        if replacement is not None:
-            warnings.warn(
-                f"session snapshot key {key!r} is deprecated and will be "
-                f"removed next release; read {replacement!r} instead",
-                DeprecationWarning, stacklevel=3)
-
-    def __getitem__(self, key):
-        self._warn(key)
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self._warn(key)
-        return super().get(key, default)
-
-
-#: Snapshot keys retired in favour of the structured recommendation.
-SNAPSHOT_DEPRECATIONS: Dict[str, str] = {
-    "recommended_config": "recommendation",
-}
-
-
-def wrap_status(snapshot: Mapping[str, object]) -> "DeprecatedKeyDict":
-    """Attach the legacy-key shim to a session status snapshot.
-
-    Adds the flat ``recommended_config`` alias when a structured
-    recommendation is present, then wraps the whole snapshot so reading
-    the alias warns.  Used by both the in-process service and the
-    sharded parent (whose snapshots arrive as plain JSON from a child
-    and would otherwise lose the shim in relay).
-    """
-    data = dict(snapshot)
-    recommendation = data.get("recommendation")
-    if isinstance(recommendation, Mapping) and "recommended_config" not in data:
-        config = recommendation.get("config")
-        if isinstance(config, Mapping):
-            data["recommended_config"] = dict(config)
-    return DeprecatedKeyDict(data, SNAPSHOT_DEPRECATIONS)

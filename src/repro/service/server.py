@@ -5,9 +5,7 @@ against pools of CDB instances; this module turns the repo's single-run
 pipeline into that shape.  A :class:`TuningService` owns
 
 * a **priority job queue** of :class:`TuningRequest`\\ s and a pool of
-  worker threads that drain it (each session may additionally fan its
-  warmup stress tests out over a
-  :class:`~repro.core.parallel.ParallelEvaluator`);
+  worker threads that drain it;
 * a **model registry** (:mod:`repro.service.registry`) consulted before
   every session: a nearby pre-trained model is fine-tuned instead of
   cold-starting, reproducing the §5.3 adaptability results as a service
@@ -49,7 +47,6 @@ import numpy as np
 
 from .audit import AuditLog
 from .recommendation import Recommendation as ServiceRecommendation
-from .recommendation import wrap_status
 from .registry import ModelEntry, ModelRegistry
 from .safety import CanaryVerdict, SafetyGuard
 from ..core.recommender import Recommendation
@@ -157,7 +154,6 @@ class TuningRequest:
     current_config: Dict[str, float] | None = None
     seed: int = 0
     noise: float = 0.015
-    eval_workers: int = 1          # >1 prefetches warmup via ParallelEvaluator
     mode: str = "full"             # "full" | "refine" | "oneshot"
     warm_start: bool | None = None
     compress: bool | None = None   # tune on compressed mix, stage-verify
@@ -175,6 +171,9 @@ class TuningRequest:
             self.workload = WorkloadMix.from_dict(self.workload)
         if self.tenant is None:
             self.tenant = f"{self.workload.name}@{self.hardware.name}"
+        elif not isinstance(self.tenant, str):
+            raise TypeError(f"tenant must be a string, not "
+                            f"{type(self.tenant).__name__}")
         self.mode = str(self.mode)
         if self.mode not in _MODE_DEFAULTS:
             raise ValueError(
@@ -217,6 +216,10 @@ class TuningRequest:
         self.verify_top_k = int(self.verify_top_k)
         if self.train_steps <= 0 or self.tune_steps <= 0:
             raise ValueError("train_steps and tune_steps must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if not self.noise >= 0.0:      # NaN fails too
+            raise ValueError("noise must be non-negative")
         if self.verify_top_k <= 0:
             raise ValueError("verify_top_k must be positive")
         if self.history_seeds < 0 or self.history_replay < 0:
@@ -319,7 +322,7 @@ class TuningSession:
             snapshot["recommendation"] = recommendation.to_dict()
         if self.prediction_latency is not None:
             snapshot["prediction_latency_s"] = self.prediction_latency
-        return wrap_status(snapshot)
+        return snapshot
 
     def report(self) -> SessionReport:
         """End-to-end :class:`SessionReport` for this session.
@@ -989,10 +992,7 @@ class TuningService:
                                   phase_key="training"):
                 session.training = tuner.offline_train(
                     request.hardware, tuning_workload,
-                    max_steps=session.train_budget,
-                    workers=(request.eval_workers
-                             if request.eval_workers > 1 else None),
-                    **train_kwargs)
+                    max_steps=session.train_budget, **train_kwargs)
             self._audit(
                 session, "training-finished",
                 steps=session.training.steps,

@@ -62,7 +62,6 @@ from hashlib import sha256
 from typing import Callable, Dict, List, Optional
 
 from .audit import AuditLog, _jsonable
-from .recommendation import wrap_status
 from .registry import ModelRegistry
 from .server import QueueFullError, SessionState, TuningRequest, TuningService
 from ..dbsim.hardware import HardwareSpec
@@ -148,7 +147,6 @@ def request_to_wire(request: TuningRequest) -> Dict[str, object]:
                            if request.current_config is not None else None),
         "seed": request.seed,
         "noise": request.noise,
-        "eval_workers": request.eval_workers,
         "mode": request.mode,
         "warm_start": request.warm_start,
         "compress": request.compress,
@@ -436,7 +434,7 @@ class ShardedTuningService:
             args=(handle.index, child_sock, self.audit_path,
                   self.shard_factory),
             name=f"tuning-shard-{handle.index}",
-            daemon=False)              # shards fork ProcessPoolExecutors
+            daemon=False)
         process.start()
         child_sock.close()
         handle.process = process
@@ -778,10 +776,7 @@ class ShardedTuningService:
                 # The shard evicted the record; route future polls off
                 # the shard (and off _meta) entirely.
                 return self._expire_meta(session_id)
-            # Re-attach the deprecated-key shim: the child's snapshot
-            # crossed the wire as plain JSON, which sheds the warning
-            # wrapper (the legacy alias key itself relays fine).
-            return wrap_status(result) if isinstance(result, dict) else result
+            return result
         if reply.get("kind") == "unknown-session":
             if self._terminal_in_audit(session_id):
                 return self._expire_meta(session_id)

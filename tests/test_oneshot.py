@@ -10,7 +10,6 @@ with source provenance.
 
 import asyncio
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +31,6 @@ from repro.service import (
     SessionState,
     TuningRequest,
     TuningService,
-    wrap_status,
 )
 from repro.service.frontdoor import ServiceFrontDoor, http_request
 
@@ -284,7 +282,7 @@ def _run_tiny_session_result(seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Recommendation dataclass and the deprecation shim
+# Recommendation dataclass and its place in the /v1 status
 # ---------------------------------------------------------------------------
 class TestRecommendation:
     def test_roundtrip_and_validation(self):
@@ -301,22 +299,31 @@ class TestRecommendation:
         with pytest.raises(ValueError, match="trials_used"):
             Recommendation(config={}, source="cold", trials_used=-1)
 
-    def test_wrap_status_warns_on_legacy_key_only(self):
-        snapshot = {"id": "s0001",
-                    "recommendation": Recommendation(
-                        config={"max_connections": 500.0},
-                        source="refined", trials_used=4).to_dict()}
-        wrapped = wrap_status(snapshot)
-        with pytest.warns(DeprecationWarning, match="recommended_config"):
-            legacy = wrapped["recommended_config"]
-        assert legacy == {"max_connections": 500.0}
-        with pytest.warns(DeprecationWarning):
-            assert wrapped.get("recommended_config") == legacy
-        # The successor key and whole-dict operations stay silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert wrapped["recommendation"]["source"] == "refined"
-            json.dumps(dict(wrapped))
+    def test_v1_status_has_recommendation_and_no_flat_config(self):
+        """The structured recommendation is the only config a /v1 status
+        carries; the flat ``recommended_config`` key is gone."""
+        async def scenario():
+            service = TuningService(registry=None, workers=1,
+                                    tuner_factory=_tiny_tuner)
+            front_door = await ServiceFrontDoor(service, port=0).start()
+            try:
+                _, _, body = await http_request(
+                    "127.0.0.1", front_door.port, "POST", "/v1/sessions",
+                    {"workload": "sysbench-rw", "train_steps": 2,
+                     "tune_steps": 1, "noise": 0.0,
+                     "train_kwargs": TRAIN_KWARGS})
+                await asyncio.get_running_loop().run_in_executor(
+                    None, service.wait, body["session"], 300)
+                return await http_request(
+                    "127.0.0.1", front_door.port, "GET",
+                    f"/v1/sessions/{body['session']}")
+            finally:
+                await front_door.shutdown(drain=True)
+        status, _, payload = asyncio.run(asyncio.wait_for(scenario(), 300))
+        assert status == 200
+        assert payload["state"] == SessionState.DEPLOYED
+        assert payload["recommendation"]["config"]
+        assert "recommended_config" not in payload
 
 
 # ---------------------------------------------------------------------------

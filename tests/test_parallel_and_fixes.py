@@ -1,11 +1,11 @@
-"""Tests for the parallel/cached evaluation subsystem and the PR-2 bugfix
-sweep: greedy-probe isolation, crash-restart bookkeeping, the imitation-loss
-return value and SumTree stratification for non-power-of-two capacities."""
+"""Tests for the evaluation cache and its batch accounting, plus greedy-probe
+isolation, crash-restart bookkeeping, the imitation-loss return value and
+SumTree stratification for non-power-of-two capacities."""
 
 import numpy as np
 import pytest
 
-from repro.core import ParallelEvaluator, TuningEnvironment, offline_train
+from repro.core import TuningEnvironment, offline_train
 from repro.core.tuner import CDBTune
 from repro.core.pipeline import _greedy_probe
 from repro.dbsim import (
@@ -99,57 +99,31 @@ class TestEvaluationCache:
         assert twin.evaluations == 1     # counters are not shared
 
 
-class TestParallelEvaluator:
+class TestEvaluationAccounting:
+    """``evaluate_many`` keeps the serial cache and counter semantics."""
+
     @pytest.fixture()
     def batch(self):
         registry = mysql_registry()
         rng = np.random.default_rng(42)
         return [registry.random_config(rng) for _ in range(12)]
 
-    def _serial_reference(self, batch):
-        db = make_database(noise=0.02, seed=3, cache_size=0)
-        out = []
-        for trial, config in enumerate(batch, start=1):
-            try:
-                out.append(db.evaluate(config, trial=trial))
-            except DatabaseCrashError:
-                out.append(None)
-        return out
-
-    @pytest.mark.parametrize("workers,serial_fallback",
-                             [(1, False), (4, False), (4, True)])
-    def test_matches_serial_exactly(self, batch, workers, serial_fallback):
-        reference = self._serial_reference(batch)
-        db = make_database(noise=0.02, seed=3)
-        with ParallelEvaluator(db, workers=workers,
-                               serial_fallback=serial_fallback) as evaluator:
-            results = evaluator.evaluate_batch(batch, start_trial=1)
-        assert len(results) == len(reference)
-        for got, want in zip(results, reference):
-            if want is None:
-                assert got is None
-            else:
-                assert got.performance == want.performance
-                assert np.array_equal(got.metrics, want.metrics)
-
     def test_counters_match_serial_semantics(self, batch):
         db = make_database(noise=0.02, seed=3)
-        with ParallelEvaluator(db, workers=4) as evaluator:
-            evaluator.evaluate_batch(batch, start_trial=1)
-            evaluator.evaluate_batch(batch, start_trial=1)  # all cached now
+        trials = list(range(1, len(batch) + 1))
+        db.evaluate_many(batch, trials=trials)
+        db.evaluate_many(batch, trials=trials)      # all cached now
         assert db.evaluations == 2 * len(batch)
         assert db.stress_tests == len(batch)
         assert db.cache_hits == len(batch)
-        assert evaluator.stats.requests == 2 * len(batch)
-        assert evaluator.stats.cache_hits == len(batch)
-        assert 0.0 < evaluator.stats.hit_rate < 1.0
+        assert db.cache_misses == len(batch)
 
-    def test_results_land_in_master_cache(self, batch):
+    def test_results_land_in_cache(self, batch):
         db = make_database(noise=0.02, seed=3)
-        with ParallelEvaluator(db, workers=4) as evaluator:
-            results = evaluator.evaluate_batch(batch, start_trial=1)
+        trials = list(range(1, len(batch) + 1))
+        results = db.evaluate_many(batch, trials=trials)
         stress_before = db.stress_tests
-        for trial, (config, want) in enumerate(zip(batch, results), start=1):
+        for trial, config, want in zip(trials, batch, results):
             if want is None:
                 with pytest.raises(DatabaseCrashError):
                     db.evaluate(config, trial=trial)
@@ -158,39 +132,10 @@ class TestParallelEvaluator:
                 assert got.performance == want.performance
         assert db.stress_tests == stress_before  # every one was a hit
 
-    def test_prefetch_only_runs_stress_tests(self, batch):
-        db = make_database(noise=0.02, seed=3)
-        with ParallelEvaluator(db, workers=2) as evaluator:
-            ran = evaluator.prefetch([(c, t) for t, c in
-                                      enumerate(batch, start=1)])
-        assert ran == len(batch)
-        assert db.stress_tests == len(batch)
-        assert db.evaluations == 0       # requests belong to the consumer
-
     def test_trials_length_mismatch_raises(self, batch):
         db = make_database()
-        with ParallelEvaluator(db, serial_fallback=True) as evaluator:
-            with pytest.raises(ValueError):
-                evaluator.evaluate_batch(batch, trials=[1, 2])
-
-    def test_offline_train_matches_with_and_without_evaluator(self):
-        runs = []
-        for use_evaluator in (False, True):
-            tuner = CDBTune(seed=5, noise=0.0)
-            env = tuner.make_environment(CDB_A, "sysbench-rw")
-            evaluator = (ParallelEvaluator(env.database, workers=2)
-                         if use_evaluator else None)
-            result = offline_train(env, tuner.agent, max_steps=40,
-                                   probe_every=10, stop_on_convergence=False,
-                                   evaluator=evaluator)
-            if evaluator is not None:
-                evaluator.close()
-            runs.append(result)
-        assert runs[0].probe_throughputs == runs[1].probe_throughputs
-        assert runs[0].rewards == runs[1].rewards
-        # The prefetched run answers the warmup from the cache.
-        assert (runs[1].telemetry.counters["cache_hits"]
-                > runs[0].telemetry.counters["cache_hits"])
+        with pytest.raises(ValueError):
+            db.evaluate_many(batch, trials=[1, 2])
 
     def test_offline_train_reports_accounting(self):
         tuner = CDBTune(seed=5, noise=0.0)

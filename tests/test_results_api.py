@@ -1,4 +1,4 @@
-"""Unified result API: round-trips, telemetry and deprecation shims."""
+"""Unified result API: round-trips and telemetry."""
 
 import json
 
@@ -118,15 +118,6 @@ class TestTrainingResult:
         assert back.final_probe == PerformanceSample(throughput=1100.0,
                                                      latency=9.0)
 
-    def test_deprecated_aliases_warn_but_work(self):
-        result = _training_result()
-        with pytest.warns(DeprecationWarning, match="evaluations"):
-            assert result.evaluations == 12
-        with pytest.warns(DeprecationWarning, match="cache_hits"):
-            assert result.cache_hits == 4
-        with pytest.warns(DeprecationWarning, match="phase_timings"):
-            assert result.phase_timings == {"warmup": 0.5, "update": 1.25}
-
 
 class TestTuningResult:
     def test_roundtrip(self):
@@ -135,11 +126,6 @@ class TestTuningResult:
         assert back == result
         assert back.throughput_improvement == pytest.approx(300.0 / 900.0)
         assert back.latency_improvement == pytest.approx(4.0 / 12.0)
-
-    def test_deprecated_history_alias(self):
-        result = _tuning_result()
-        with pytest.warns(DeprecationWarning, match="history"):
-            assert result.history is result.records
 
 
 class TestSessionReport:

@@ -418,6 +418,13 @@ class TestTuningServiceSessions:
             _request(train_steps=0)
         with pytest.raises(ValueError, match="unknown workload"):
             _request(workload="no-such-workload")
+        # Rejected at construction, not later in a worker thread.
+        with pytest.raises(ValueError, match="seed"):
+            _request(seed=-3)
+        with pytest.raises(ValueError, match="noise"):
+            _request(noise=-1.0)
+        with pytest.raises(TypeError, match="tenant"):
+            _request(tenant=["x"])
         assert _request().tenant == "sysbench-rw@CDB-A"
 
 

@@ -1,9 +1,8 @@
 """Property-style equivalence suite for the vectorized evaluation path.
 
-The contract under test: ``SimulatedDatabase.evaluate_many`` (and every
-route that reaches it — the parallel evaluator's pooled and serial
-fallback paths) is *bitwise-identical* to running ``evaluate`` serially
-over the same configs in the same order.  Not "close", identical: the
+The contract under test: ``SimulatedDatabase.evaluate_many`` is
+*bitwise-identical* to running ``evaluate`` serially over the same
+configs in the same order.  Not "close", identical: the
 same observation bits, the same counter values, the same LRU cache keys
 in the same order.  The config mix deliberately includes crash-region
 configs, in-batch duplicates and partial configs, across cache sizes
@@ -13,7 +12,6 @@ configs, in-batch duplicates and partial configs, across cache sizes
 import numpy as np
 import pytest
 
-from repro.core.parallel import ParallelEvaluator
 from repro.dbsim import (
     CDB_A,
     DatabaseCrashError,
@@ -21,7 +19,7 @@ from repro.dbsim import (
     get_workload,
     mysql_registry,
 )
-from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 
 REGISTRY = mysql_registry()
 
@@ -135,7 +133,7 @@ class TestBitwiseEquivalence:
                       if status == "crash"]
         assert crash_rows, "config mix must include crash-region rows"
         for i in crash_rows:
-            status, payload, _fresh = outcomes[i]
+            status, payload = outcomes[i]
             assert status == "crash"
             assert payload == reference[i][1]
 
@@ -194,54 +192,16 @@ class TestCounterSemantics:
         assert info["hits"] == 1
         assert db.cache_misses == 2
 
-    def test_prefetch_semantics_advance_only_stress_tests(self, fresh_metrics):
-        db = make_database()
-        configs, trials = make_configs(n=8, crash_every=0)
-        db._evaluate_many_outcomes(configs, trials, consume=False)
-        assert db.stress_tests == len(configs)
-        assert db.evaluations == 0
-        assert db.cache_hits == 0
-        assert db.cache_misses == 0
-        # The results are cached: consuming them now is all hits.
-        db.evaluate_many(configs, trials=trials)
-        assert db.stress_tests == len(configs)
-        assert db.cache_hits == len(configs)
-
-
-class TestEvaluatorPaths:
-    def test_serial_fallback_matches_plain_batch(self):
-        configs, trials = make_configs()
-        reference_db = make_database()
-        reference = serial_reference(reference_db, configs, trials)
-        db = make_database()
-        with ParallelEvaluator(db, workers=4,
-                               serial_fallback=True) as evaluator:
-            outcomes = evaluator.evaluate_batch(configs, trials=trials)
-        assert_matches_reference(reference, outcomes)
-        assert counters_of(db) == counters_of(reference_db)
-
-    def test_pooled_shards_match_serial(self):
-        configs, trials = make_configs()
-        reference_db = make_database()
-        reference = serial_reference(reference_db, configs, trials)
-        db = make_database()
-        with ParallelEvaluator(db, workers=2, chunksize=5) as evaluator:
-            outcomes = evaluator.evaluate_batch(configs, trials=trials)
-        assert_matches_reference(reference, outcomes)
-        assert counters_of(db) == counters_of(reference_db)
-        assert list(db._cache) == list(reference_db._cache)
-
-    def test_memoized_crash_counts_in_stats_and_metrics(self, fresh_metrics):
-        from repro.obs.metrics import get_metrics
+    def test_memoized_crash_counts_in_metrics(self, fresh_metrics):
         configs, trials = make_configs(n=6)
         db = make_database()
-        with ParallelEvaluator(db, workers=1) as evaluator:
-            evaluator.evaluate_batch(configs, trials=trials)
-            first_crashes = evaluator.stats.crashes
-            assert first_crashes > 0
-            # Same batch again: every crash is now a memoized cache hit,
-            # but it still crashed from the caller's point of view.
-            evaluator.evaluate_batch(configs, trials=trials)
-            assert evaluator.stats.crashes == 2 * first_crashes
+        first = db.evaluate_many(configs, trials=trials)
+        crashes = sum(obs is None for obs in first)
+        assert crashes > 0
+        # Same batch again: every crash is now a memoized cache hit, but
+        # it still crashed from the caller's point of view.
+        again = db.evaluate_many(configs, trials=trials)
+        assert sum(obs is None for obs in again) == crashes
+        assert db.stress_tests == len(configs)
         crash_metric = get_metrics().counter("db.evaluate.crashes").value
-        assert crash_metric == 2 * first_crashes
+        assert crash_metric == 2 * crashes
