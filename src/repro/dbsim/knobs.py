@@ -356,21 +356,6 @@ class KnobRegistry:
             out[full_rows] = sub
         return out
 
-    def pack_values(self, config: Mapping[str, float]) -> tuple | None:
-        """Compact a full registry-order config to a bare value tuple.
-
-        Returns ``None`` when the config is partial or not in registry
-        order.  Used to shrink worker-pool job payloads: a value tuple
-        pickles ~4x smaller than a dict with 266 string keys.
-        """
-        if tuple(config.keys()) == self._fast_names:
-            return tuple(config.values())
-        return None
-
-    def unpack_values(self, values: Sequence[float]) -> Dict[str, float]:
-        """Inverse of :meth:`pack_values`."""
-        return dict(zip(self._fast_names, values))
-
     def canonical_items(self, config: Mapping[str, float]) -> tuple:
         """``tuple(sorted(config.items()))`` without re-sorting every call.
 

@@ -141,20 +141,28 @@ class SumTree:
     def get(self, index: int) -> float:
         return float(self._tree[index + self._leaf_base])
 
+    def get_many(self, indices: np.ndarray) -> np.ndarray:
+        """Priorities of the leaves at ``indices``."""
+        return self._tree[np.asarray(indices, dtype=np.int64) + self._leaf_base]
+
     def find(self, prefix: float) -> int:
         """Return the leaf index at which the running priority sum passes prefix."""
+        return int(self.find_many([prefix])[0])
+
+    def find_many(self, prefixes: Sequence[float] | np.ndarray) -> np.ndarray:
+        """:meth:`find` for every prefix, descending one tree level at a time."""
         if self.total <= 0:
             raise ValueError("cannot sample from an empty tree")
-        prefix = min(max(prefix, 0.0), np.nextafter(self.total, 0.0))
-        node = 1
-        while node < self._leaf_base:
-            left = 2 * node
-            if prefix < self._tree[left]:
-                node = left
-            else:
-                prefix -= self._tree[left]
-                node = left + 1
-        return node - self._leaf_base
+        prefixes = np.clip(np.asarray(prefixes, dtype=np.float64), 0.0,
+                           np.nextafter(self.total, 0.0))
+        nodes = np.ones(prefixes.shape, dtype=np.int64)
+        for _ in range(self._leaf_base.bit_length() - 1):
+            left = 2 * nodes
+            left_sums = self._tree[left]
+            right = prefixes >= left_sums
+            prefixes = np.where(right, prefixes - left_sums, prefixes)
+            nodes = left + right
+        return nodes - self._leaf_base
 
 
 class PrioritizedReplayMemory:
@@ -198,14 +206,11 @@ class PrioritizedReplayMemory:
         if n == 0:
             raise ValueError("cannot sample from an empty memory")
         segment = self._tree.total / batch_size
-        indices = np.empty(batch_size, dtype=np.int64)
-        priorities = np.empty(batch_size)
-        for k in range(batch_size):
-            prefix = self._rng.uniform(k * segment, (k + 1) * segment)
-            idx = self._tree.find(prefix)
-            idx = min(idx, n - 1)  # guard against unfilled leaves
-            indices[k] = idx
-            priorities[k] = max(self._tree.get(idx), self.eps)
+        strata = np.arange(batch_size)
+        prefixes = self._rng.uniform(strata * segment, (strata + 1) * segment)
+        # Clamp guards against landing on an unfilled leaf.
+        indices = np.minimum(self._tree.find_many(prefixes), n - 1)
+        priorities = np.maximum(self._tree.get_many(indices), self.eps)
         probs = priorities / max(self._tree.total, self.eps)
         weights = (n * probs) ** (-self.beta)
         weights /= weights.max()

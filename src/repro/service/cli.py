@@ -31,7 +31,7 @@ import argparse
 import json
 import sys
 import tempfile
-from typing import List
+from typing import List, Optional
 
 from .audit import AuditLog
 from .frontdoor import ServiceFrontDoor
@@ -40,6 +40,7 @@ from .server import TuningRequest, TuningService
 from .shard import ShardedTuningService
 from ..dbsim.hardware import INSTANCES
 from ..dbsim.workload import WORKLOADS
+from ..nn.blas import set_blas_threads
 from ..obs import (
     SpanExporter,
     Tracer,
@@ -52,6 +53,12 @@ from ..obs import (
 __all__ = ["main", "serve_main"]
 
 logger = get_logger(__name__)
+
+#: BLAS threads per service process.  Session workers and shard processes
+#: give the service its parallelism; the DDPG matrices (at most 64×266)
+#: are too small to gain from more BLAS threads, which only contend for
+#: the cores those workers run on.
+BLAS_THREADS = 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,6 +168,21 @@ def _train_oneshot(audit_path: str):
     return recommender
 
 
+def _pin_blas_threads() -> Optional[int]:
+    """Run this process's BLAS on :data:`BLAS_THREADS` threads.
+
+    Forked shards inherit the setting.  Sets the ``service.blas_threads``
+    gauge (``-1`` when no OpenBLAS is loaded) and returns the previous
+    count, ``None`` when there is nothing to restore.
+    """
+    previous = set_blas_threads(BLAS_THREADS)
+    get_metrics().gauge(
+        "service.blas_threads",
+        help="BLAS threads per service process (-1: no OpenBLAS found)",
+    ).set(-1 if previous is None else BLAS_THREADS)
+    return previous
+
+
 def serve_main(argv: List[str] | None = None) -> int:
     """``repro-service serve``: run the HTTP front door until shutdown."""
     args = _build_serve_parser().parse_args(argv)
@@ -168,6 +190,7 @@ def serve_main(argv: List[str] | None = None) -> int:
     exporter = SpanExporter(args.trace) if args.trace else None
     previous_tracer = (set_tracer(Tracer(exporter)) if exporter is not None
                        else None)
+    previous_blas = _pin_blas_threads()
     try:
         registry_dir = (args.registry
                         or tempfile.mkdtemp(prefix="repro-registry-"))
@@ -213,6 +236,8 @@ def serve_main(argv: List[str] | None = None) -> int:
         front_door.run()
         return 0
     finally:
+        if previous_blas is not None:
+            set_blas_threads(previous_blas)
         if exporter is not None:
             exporter.export(get_metrics().snapshot())
             exporter.close()
@@ -232,6 +257,7 @@ def main(argv: List[str] | None = None) -> int:
     exporter = SpanExporter(args.trace) if args.trace else None
     previous_tracer = (set_tracer(Tracer(exporter)) if exporter is not None
                        else None)
+    previous_blas = _pin_blas_threads()
     try:
         registry_dir = (args.registry
                         or tempfile.mkdtemp(prefix="repro-registry-"))
@@ -289,6 +315,8 @@ def main(argv: List[str] | None = None) -> int:
             logger.info("metrics: %s", args.metrics_out)
         return 1 if failed else 0
     finally:
+        if previous_blas is not None:
+            set_blas_threads(previous_blas)
         if exporter is not None:
             exporter.close()
             set_tracer(previous_tracer)

@@ -287,6 +287,7 @@ class TestSumTreeStratification:
                                   endpoint=False)
         indices = [tree.find(p) for p in checkpoints]
         assert indices == sorted(indices)
+        assert tree.find_many(checkpoints).tolist() == indices
 
     @pytest.mark.parametrize("capacity", [3, 100])
     def test_prefix_boundaries_map_to_owning_leaf(self, capacity):
@@ -295,10 +296,14 @@ class TestSumTreeStratification:
         for i, p in enumerate(priorities):
             tree.update(i, p)
         cumulative = np.cumsum(priorities)
+        lefts = np.concatenate([[0.0], cumulative[:-1]])
         for i in range(capacity):
-            left = cumulative[i - 1] if i else 0.0
-            assert tree.find(left) == i
+            assert tree.find(lefts[i]) == i
             assert tree.find(cumulative[i] - 1e-9) == i
+        owners = np.arange(capacity)
+        np.testing.assert_array_equal(tree.find_many(lefts), owners)
+        np.testing.assert_array_equal(tree.find_many(cumulative - 1e-9),
+                                      owners)
 
     def test_proportional_sampling_non_power_of_two(self):
         capacity = 100
@@ -308,9 +313,12 @@ class TestSumTreeStratification:
         for i, p in enumerate(priorities):
             tree.update(i, p)
         n = 40_000
+        prefixes = rng.random(n) * tree.total
         counts = np.zeros(capacity)
-        for u in rng.random(n):
-            counts[tree.find(u * tree.total)] += 1
+        for prefix in prefixes:
+            counts[tree.find(prefix)] += 1
+        np.testing.assert_array_equal(
+            np.bincount(tree.find_many(prefixes), minlength=capacity), counts)
         expected = priorities / priorities.sum()
         assert np.allclose(counts / n, expected, atol=0.01)
 
@@ -319,5 +327,7 @@ class TestSumTreeStratification:
         for i in range(5):
             tree.update(i, 1.0)
         rng = np.random.default_rng(3)
-        for u in rng.random(2000):
-            assert tree.find(u * tree.total) < 5
+        prefixes = rng.random(2000) * tree.total
+        for prefix in prefixes:
+            assert tree.find(prefix) < 5
+        assert tree.find_many(prefixes).max() < 5

@@ -78,6 +78,7 @@ class TestSumTreeProperties:
         leaf = tree.find(fraction * tree.total)
         assert 0 <= leaf < len(priorities)
         assert tree.get(leaf) > 0
+        assert tree.find_many([fraction * tree.total]).tolist() == [leaf]
 
 
 class TestReplayProperties:

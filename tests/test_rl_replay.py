@@ -81,10 +81,14 @@ class TestSumTree:
         assert tree.find(0.5) == 0
         assert tree.find(1.5) == 1
         assert tree.find(3.9) == 1
+        np.testing.assert_array_equal(tree.find_many([0.5, 1.5, 3.9]),
+                                      [0, 1, 1])
 
     def test_find_on_empty_raises(self):
         with pytest.raises(ValueError):
             SumTree(4).find(0.0)
+        with pytest.raises(ValueError):
+            SumTree(4).find_many([0.0])
 
     def test_out_of_range_update(self):
         tree = SumTree(4)
@@ -99,9 +103,12 @@ class TestSumTree:
         for i, p in enumerate(priorities):
             tree.update(i, p)
         rng = np.random.default_rng(1)
+        prefixes = rng.uniform(0, tree.total, size=4000)
         counts = np.zeros(4)
-        for _ in range(4000):
-            counts[tree.find(rng.uniform(0, tree.total))] += 1
+        for prefix in prefixes:
+            counts[tree.find(prefix)] += 1
+        np.testing.assert_array_equal(
+            np.bincount(tree.find_many(prefixes), minlength=4), counts)
         fractions = counts / counts.sum()
         expected = np.array(priorities) / sum(priorities)
         np.testing.assert_allclose(fractions, expected, atol=0.03)
@@ -116,6 +123,36 @@ class TestPrioritizedReplayMemory:
         assert batch.weights.shape == (4,)
         assert batch.indices.shape == (4,)
         assert np.all(batch.weights > 0) and np.all(batch.weights <= 1.0)
+
+    @pytest.mark.parametrize("capacity", [5, 64, 100])
+    def test_sample_matches_per_stratum_reference(self, capacity):
+        # Reference: one uniform draw and one scalar descent per stratum.
+        alpha, eps = 0.6, 1e-5
+        memory = PrioritizedReplayMemory(capacity, alpha=alpha, eps=eps,
+                                         rng=np.random.default_rng(11))
+        tree, rng = SumTree(capacity), np.random.default_rng(11)
+        n = min(capacity, 40)
+        errors = np.random.default_rng(2).exponential(size=n)
+        for i in range(n):
+            memory.push(_transition(i))
+            tree.update(i, 1.0)
+        memory.update_priorities(np.arange(n), errors)
+        for i, error in enumerate(errors):
+            tree.update(i, (float(error) + eps) ** alpha)
+        beta = memory.beta
+        for batch_size in (1, 7, 32, 64):
+            batch = memory.sample(batch_size)
+            segment = tree.total / batch_size
+            indices = [min(tree.find(rng.uniform(k * segment,
+                                                 (k + 1) * segment)), n - 1)
+                       for k in range(batch_size)]
+            priorities = np.array([max(tree.get(i), eps) for i in indices])
+            weights = (n * (priorities / max(tree.total, eps))) ** (-beta)
+            weights /= weights.max()
+            beta = min(1.0, beta + memory.beta_increment)
+            np.testing.assert_array_equal(batch.indices, indices)
+            np.testing.assert_array_equal(batch.weights, weights)
+            assert memory.beta == beta
 
     def test_high_priority_sampled_more(self):
         memory = PrioritizedReplayMemory(8, alpha=1.0, beta=1.0,
