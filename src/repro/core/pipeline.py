@@ -10,7 +10,7 @@
   with the best observed performance.
 
 Both pipelines are instrumented through :mod:`repro.obs`: one root span
-per run with child spans per phase (episode, probe, distill, the per-step
+per run with child spans per phase (episode, probe, the per-step
 actor/critic update), per-phase histograms, and a
 :class:`~repro.core.results.Telemetry` block on every result.
 """
@@ -82,7 +82,6 @@ def offline_train(env: TuningEnvironment, agent: DDPGAgent,
                   convergence_threshold: float = CONVERGENCE_THRESHOLD,
                   convergence_window: int = CONVERGENCE_WINDOW,
                   stop_on_convergence: bool = True,
-                  restore_best: bool = True,
                   warmup_seeds: np.ndarray | None = None,
                   replay_seeds: "Sequence[Tuple[np.ndarray, float]] | None"
                   = None) -> TrainingResult:
@@ -99,10 +98,11 @@ def offline_train(env: TuningEnvironment, agent: DDPGAgent,
     probe measures policy quality; the paper's 0.5 %-over-5-probes rule
     decides convergence.
 
-    With ``restore_best`` (default) the agent's weights are snapshotted at
-    every probe that sets a new best and restored at the end — standard
-    early-stopping model selection, guarding against late-training policy
-    drift.
+    The agent's weights are snapshotted at every probe that sets a new
+    best and restored at the end — standard early-stopping model
+    selection, guarding against late-training policy drift.  The restored
+    agent keeps the run's best measured action as ``best_known_action``,
+    which online tuning measures first.
 
     History bootstrap (:mod:`repro.reuse.history`): ``warmup_seeds`` is a
     ``(m, action_dim)`` matrix of known-good action vectors that replace
@@ -120,9 +120,9 @@ def offline_train(env: TuningEnvironment, agent: DDPGAgent,
     cache_hits_before = database.cache_hits
     stress_tests_before = database.stress_tests
     crashes_before = env.crashes
+    train_steps_before = agent.train_steps
     phase_timings: Dict[str, float] = {
         "reset": 0.0, "warmup": 0.0, "train": 0.0, "probe": 0.0,
-        "distill": 0.0,
     }
     rewards: List[float] = []
     probe_throughputs: List[float] = []
@@ -142,7 +142,8 @@ def offline_train(env: TuningEnvironment, agent: DDPGAgent,
         warmup_plan[:n_seeded] = seeds[:n_seeded]
     replay_seeded = 0
     # Best configuration seen across the whole run (env.best_config only
-    # spans one episode); this anchors the exploit-around-best moves.
+    # spans one episode); this anchors the exploit-around-best moves and
+    # ships as the agent's best_known_action.
     global_best_vector: np.ndarray | None = None
     global_best_score = -np.inf
     exploit_moves = 0
@@ -163,39 +164,17 @@ def offline_train(env: TuningEnvironment, agent: DDPGAgent,
                                 if agent.state_normalizer is not None else None)
             best_snapshot = (agent.state_dict(), normalizer_state)
 
-    def _distill(iterations: int = 400) -> None:
-        """Pull the actor onto the best configuration exploration found.
-
-        Policy-gradient absorption of a late-discovered optimum can lag the
-        step budget; distillation guarantees the returned policy emits the
-        best-known configuration (which online tuning then refines).
-        """
-        if global_best_vector is None:
-            return
-        loss = np.inf
-        for _ in range(iterations):
-            if len(agent.memory) < agent.config.batch_size:
-                break
-            batch = agent.memory.sample(agent.config.batch_size)
-            loss = agent.imitate(batch.states, global_best_vector, lr=2e-3)
-            if loss < 1e-3:  # logit-space MSE (the optimized objective)
-                break
-        probe = _greedy_probe(env, agent)
-        if probe.performance is not None:
-            probe_throughputs.append(probe.performance.throughput)
-            probe_latencies.append(probe.performance.latency)
-            _maybe_snapshot(probe.performance)
-
     def _finish(converged: bool) -> TrainingResult:
-        with tracer.span("offline_train.distill"), \
-                profile_block("offline_train.distill",
-                              phases=phase_timings, phase_key="distill"):
-            _distill()
-        if restore_best and best_snapshot is not None:
+        agent_updates = agent.train_steps - train_steps_before
+        if best_snapshot is not None:
             agent_state, normalizer_state = best_snapshot
             agent.load_state_dict(agent_state)
             if normalizer_state is not None and agent.state_normalizer is not None:
                 agent.state_normalizer.load_state_dict(normalizer_state)
+        if global_best_vector is not None:
+            # After the restore, which reloads the value the run started
+            # with: a configuration found after the last best probe counts.
+            agent.best_known_action = global_best_vector
         telemetry = Telemetry(trace_id=tracer.current_trace_id())
         telemetry.count("evaluations",
                         database.evaluations - evaluations_before)
@@ -203,7 +182,7 @@ def offline_train(env: TuningEnvironment, agent: DDPGAgent,
         telemetry.count("stress_tests",
                         database.stress_tests - stress_tests_before)
         telemetry.count("crashes", env.crashes - crashes_before)
-        telemetry.count("agent_updates", agent.train_steps)
+        telemetry.count("agent_updates", agent_updates)
         if replay_seeded:
             telemetry.count("replay_seeds", replay_seeded)
         for phase, seconds in phase_timings.items():
@@ -310,7 +289,6 @@ def offline_train(env: TuningEnvironment, agent: DDPGAgent,
                     if step_score > global_best_score:
                         global_best_score = step_score
                         global_best_vector = action.copy()
-                        agent.best_known_action = action.copy()
                 _update_normalizer(agent, result.state)
                 agent.observe(state, action, result.reward, result.state,
                               done=result.crashed)

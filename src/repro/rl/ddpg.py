@@ -97,6 +97,46 @@ def _soft_update(target: nn.Module, source: nn.Module, tau: float) -> None:
                 (1.0 - tau) * tgt_mod.running_var + tau * src_mod.running_var)
 
 
+def _imitate(agent, states: np.ndarray, target_action: np.ndarray,
+             lr: float | None = None) -> float:
+    """The behaviour-cloning step of :meth:`DDPGAgent.imitate`, shared with
+    the TD3 agent."""
+    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    target = np.asarray(target_action, dtype=np.float64).reshape(1, -1)
+    if target.shape[1] != agent.config.action_dim:
+        raise ValueError("target action has wrong dimension")
+    agent.actor.train()
+    output = agent.actor.forward(agent._normalize(states))
+    # Regress in logit space: the knob optimum can be ~1 % of the unit
+    # range wide, and output-space MSE stalls against the sigmoid's
+    # saturation long before that precision.
+    eps = 1e-6
+    out_c = np.clip(output, eps, 1.0 - eps)
+    tgt_c = np.clip(np.broadcast_to(target, output.shape), eps, 1.0 - eps)
+    z = np.log(out_c / (1.0 - out_c))
+    z_target = np.log(tgt_c / (1.0 - tgt_c))
+    diff = z - z_target
+    loss = float(np.mean(diff ** 2))
+    agent.last_imitate_losses = {
+        "logit_mse": loss,
+        "output_mse": float(np.mean((output - tgt_c) ** 2)),
+    }
+    grad = 2.0 * diff / diff.size / np.maximum(out_c * (1.0 - out_c), eps)
+    optimizer = agent.actor_optimizer
+    optimizer.zero_grad()
+    agent.actor.backward(grad)
+    nn.clip_grad_norm(agent.actor.parameters(), agent.config.grad_clip)
+    saved_lr = optimizer.lr
+    if lr is not None:
+        optimizer.lr = float(lr)
+    try:
+        optimizer.step()
+    finally:
+        optimizer.lr = saved_lr
+    _soft_update(agent.target_actor, agent.actor, agent.config.tau)
+    return loss
+
+
 class DDPGAgent:
     """The deep-RL agent of CDBTune: recommends knob vectors in [0, 1]^m."""
 
@@ -148,9 +188,9 @@ class DDPGAgent:
             self.noise = GaussianNoise(config.action_dim,
                                        sigma=config.noise_sigma, rng=self.rng)
         self.train_steps = 0
-        # Best configuration (action vector) seen during offline training;
-        # the memory pool's "DBA brain" distilled to one recommendation
-        # that online tuning includes among its trials.
+        # Best configuration (action vector) measured during offline
+        # training, set when training ends; online tuning measures it at
+        # its first step.
         self.best_known_action: np.ndarray | None = None
         # Losses of the most recent imitate() call: the optimized
         # logit-space MSE and the diagnostic output-space MSE.
@@ -298,39 +338,7 @@ class DDPGAgent:
         the quantity being minimized.  The output-space MSE is additionally
         reported in :attr:`last_imitate_losses` for diagnostics.
         """
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        target = np.asarray(target_action, dtype=np.float64).reshape(1, -1)
-        if target.shape[1] != self.config.action_dim:
-            raise ValueError("target action has wrong dimension")
-        self.actor.train()
-        output = self.actor.forward(self._normalize(states))
-        # Regress in logit space: the knob optimum can be ~1 % of the unit
-        # range wide, and output-space MSE stalls against the sigmoid's
-        # saturation long before that precision.
-        eps = 1e-6
-        out_c = np.clip(output, eps, 1.0 - eps)
-        tgt_c = np.clip(np.broadcast_to(target, output.shape), eps, 1.0 - eps)
-        z = np.log(out_c / (1.0 - out_c))
-        z_target = np.log(tgt_c / (1.0 - tgt_c))
-        diff = z - z_target
-        loss = float(np.mean(diff ** 2))
-        self.last_imitate_losses = {
-            "logit_mse": loss,
-            "output_mse": float(np.mean((output - tgt_c) ** 2)),
-        }
-        grad = 2.0 * diff / diff.size / np.maximum(out_c * (1.0 - out_c), eps)
-        self.actor_optimizer.zero_grad()
-        self.actor.backward(grad)
-        nn.clip_grad_norm(self.actor.parameters(), self.config.grad_clip)
-        saved_lr = self.actor_optimizer.lr
-        if lr is not None:
-            self.actor_optimizer.lr = float(lr)
-        try:
-            self.actor_optimizer.step()
-        finally:
-            self.actor_optimizer.lr = saved_lr
-        _soft_update(self.target_actor, self.actor, self.config.tau)
-        return loss
+        return _imitate(self, states, target_action, lr)
 
     # -- persistence -----------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:

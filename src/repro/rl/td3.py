@@ -26,7 +26,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from .. import nn
-from .ddpg import _soft_update
+from .ddpg import _imitate, _soft_update
 from .networks import Critic, build_actor
 from .noise import GaussianNoise
 from .replay import PrioritizedReplayMemory, ReplayMemory, Transition
@@ -126,6 +126,7 @@ class TD3Agent:
                                    decay=config.noise_decay, rng=self.rng)
         self.train_steps = 0
         self.best_known_action: np.ndarray | None = None
+        self.last_imitate_losses: Dict[str, float] = {}
         self.state_normalizer: RunningNormalizer | None = None
 
     def _normalize(self, states: np.ndarray) -> np.ndarray:
@@ -243,32 +244,9 @@ class TD3Agent:
 
     def imitate(self, states: np.ndarray, target_action: np.ndarray,
                 lr: float | None = None) -> float:
-        """Logit-space behaviour cloning toward a known-good action
-        (identical semantics to :meth:`DDPGAgent.imitate`)."""
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        target = np.asarray(target_action, dtype=np.float64).reshape(1, -1)
-        self.actor.train()
-        output = self.actor.forward(self._normalize(states))
-        eps = 1e-6
-        out_c = np.clip(output, eps, 1.0 - eps)
-        tgt_c = np.clip(np.broadcast_to(target, output.shape), eps, 1.0 - eps)
-        z = np.log(out_c / (1.0 - out_c))
-        z_target = np.log(tgt_c / (1.0 - tgt_c))
-        diff = z - z_target
-        loss = float(np.mean((output - tgt_c) ** 2))
-        grad = 2.0 * diff / diff.size / np.maximum(out_c * (1.0 - out_c), eps)
-        self.actor_optimizer.zero_grad()
-        self.actor.backward(grad)
-        nn.clip_grad_norm(self.actor.parameters(), self.config.grad_clip)
-        saved_lr = self.actor_optimizer.lr
-        if lr is not None:
-            self.actor_optimizer.lr = float(lr)
-        try:
-            self.actor_optimizer.step()
-        finally:
-            self.actor_optimizer.lr = saved_lr
-        _soft_update(self.target_actor, self.actor, self.config.tau)
-        return loss
+        """Logit-space behaviour cloning toward a known-good action: the
+        same step as :meth:`DDPGAgent.imitate`."""
+        return _imitate(self, states, target_action, lr)
 
     # -- persistence ---------------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CDBTune, offline_train, online_tune
+from repro.core import pipeline
 from repro.core.pipeline import _has_converged
 from repro.dbsim import CDB_A, mysql_registry
 from repro.rl.reward import make_reward_function
@@ -60,6 +61,73 @@ class TestOfflineTraining:
         assert action is not None
         assert action.shape == (266,)
         assert np.all(action >= 0) and np.all(action <= 1)
+
+    def test_run_best_action_survives_restore(self, monkeypatch):
+        """The restore reloads the best probe's snapshot; the best action
+        measured after that probe must still ship as best_known_action."""
+        tuner = CDBTune(seed=3, noise=0.0, actor_hidden=(16, 16),
+                        critic_hidden=(16, 16), critic_branch_width=8,
+                        batch_size=8)
+        env = tuner.make_environment(CDB_A, "sysbench-rw")
+        steps, probes = [], []
+        real_step, real_probe = env.step, pipeline._greedy_probe
+
+        def recording_step(action):
+            result = real_step(action)
+            steps.append((np.array(action), result.performance))
+            return result
+
+        def recording_probe(env_, agent):
+            taken = len(steps)
+            result = real_probe(env_, agent)
+            del steps[taken:]  # the probe's own step is not a training step
+            probes.append((taken, result.performance))
+            return result
+
+        monkeypatch.setattr(env, "step", recording_step)
+        monkeypatch.setattr(pipeline, "_greedy_probe", recording_probe)
+        offline_train(env, tuner.agent, max_steps=24, probe_every=8,
+                      stop_on_convergence=False)
+
+        def score(perf):
+            return perf.throughput / perf.latency ** 0.25
+
+        last_best_probe_at, best = 0, -np.inf
+        for taken, perf in probes:
+            if perf is not None and score(perf) > best:
+                best, last_best_probe_at = score(perf), taken
+        best_index = max((score(perf), i) for i, (_, perf) in enumerate(steps)
+                         if perf is not None)[1]
+        assert len(steps) == 24
+        assert best_index + 1 > last_best_probe_at  # found after that probe
+        np.testing.assert_array_equal(tuner.agent.best_known_action,
+                                      steps[best_index][0])
+
+    def test_agent_updates_count_this_runs_gradient_steps(self):
+        tuner = CDBTune(seed=7, noise=0.0)
+        trained = []
+        real_update = tuner.agent.update
+
+        def counting_update():
+            losses = real_update()
+            trained.append(losses is not None)
+            return losses
+
+        tuner.agent.update = counting_update
+        result = tuner.offline_train(CDB_A, "sysbench-rw", max_steps=72,
+                                     stop_on_convergence=False)
+        assert sum(trained) == 18  # steps 64-72, two updates each
+        assert result.telemetry.counters["agent_updates"] == sum(trained)
+
+    def test_agent_updates_exclude_loaded_checkpoint(self):
+        tuner = CDBTune(seed=3, noise=0.0)
+        state = tuner.agent.state_dict()
+        state["train_steps"] = np.asarray(40)
+        tuner.agent.load_state_dict(state)
+        result = tuner.offline_train(CDB_A, "sysbench-rw", max_steps=20,
+                                     probe_every=10,
+                                     stop_on_convergence=False)
+        assert result.telemetry.counters["agent_updates"] == 0
 
     def test_invalid_budgets(self):
         tuner = CDBTune(seed=0)

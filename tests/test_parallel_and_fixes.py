@@ -1,6 +1,6 @@
 """Tests for the evaluation cache and its batch accounting, plus greedy-probe
-isolation, crash-restart bookkeeping, the imitation-loss return value and
-SumTree stratification for non-power-of-two capacities."""
+isolation, crash-restart bookkeeping, the imitation-loss return value of
+both agents and SumTree stratification for non-power-of-two capacities."""
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from repro.dbsim import (
 )
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
 from repro.rl.replay import SumTree
+from repro.rl.td3 import TD3Agent, TD3Config
 
 
 def make_database(noise=0.0, seed=0, **kwargs):
@@ -145,7 +146,7 @@ class TestEvaluationAccounting:
         counters = result.telemetry.counters
         assert counters["evaluations"] > 30   # steps + resets + probes
         assert set(result.telemetry.phase_seconds) >= {
-            "reset", "warmup", "train", "probe", "distill"}
+            "reset", "warmup", "train", "probe"}
         assert all(v >= 0.0
                    for v in result.telemetry.phase_seconds.values())
 
@@ -245,11 +246,13 @@ class TestCrashRestartBookkeeping:
 
 
 class TestImitateLoss:
-    @pytest.fixture()
-    def agent(self):
-        config = DDPGConfig(state_dim=4, action_dim=3, actor_hidden=(16, 16),
+    @pytest.fixture(params=[(DDPGAgent, DDPGConfig), (TD3Agent, TD3Config)],
+                    ids=["ddpg", "td3"])
+    def agent(self, request):
+        agent_cls, config_cls = request.param
+        config = config_cls(state_dim=4, action_dim=3, actor_hidden=(16, 16),
                             critic_hidden=(16, 16), batch_size=4, seed=0)
-        return DDPGAgent(config)
+        return agent_cls(config)
 
     def test_returns_optimized_logit_loss(self, agent):
         states = np.random.default_rng(0).standard_normal((6, 4))
@@ -270,6 +273,11 @@ class TestImitateLoss:
         for _ in range(200):
             last = agent.imitate(states, target, lr=5e-3)
         assert last < first
+
+    def test_wrong_length_target_rejected(self, agent):
+        states = np.random.default_rng(2).standard_normal((6, 4))
+        with pytest.raises(ValueError):
+            agent.imitate(states, np.full(1, 0.5))
 
 
 class TestSumTreeStratification:
