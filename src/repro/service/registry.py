@@ -12,7 +12,10 @@ warm-started from the nearest compatible entry instead of cold-starting.
 
 Checkpoints are written through :func:`repro.nn.save_state`, which is
 atomic (temp file + rename), and the JSON index is replaced the same way:
-a worker killed mid-save can never corrupt the registry.
+a worker killed mid-save can never corrupt the registry.  Each entry is
+encoded to JSON once, when it is registered or loaded; rewriting the index
+joins those fragments, so a registration costs the same however many
+models the registry already holds.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 import os
 import tempfile
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Tuple
 
 from ..core.tuner import CDBTune
@@ -76,6 +79,23 @@ class ModelEntry:
                             medium=str(hw.get("medium", "cloud-ssd")))
 
 
+def _components(entry: ModelEntry, signature: Dict[str, float],
+                hardware: HardwareSpec) -> Tuple[float, float]:
+    return (signature_distance(entry.signature, signature),
+            hardware_distance(entry.hardware_spec(), hardware))
+
+
+def _encode(entry: ModelEntry) -> str:
+    """``entry`` as it appears in the index's ``entries`` list.
+
+    Encodes the fields as they are: ``dataclasses.asdict`` would first
+    deep-copy the metadata's 266-knob ``best_config``, which costs several
+    times the encoding itself.
+    """
+    return json.dumps({f.name: getattr(entry, f.name)
+                       for f in fields(entry)})
+
+
 class ModelRegistry:
     """Disk-backed, thread-safe catalog of trained tuning models.
 
@@ -99,6 +119,7 @@ class ModelRegistry:
         os.makedirs(os.path.join(self.root, _MODEL_DIR), exist_ok=True)
         self._lock = threading.RLock()
         self._entries: List[ModelEntry] = []
+        self._fragments: List[str] = []   # _encode(entry), same order
         self._load_index()
 
     # -- index persistence -------------------------------------------------
@@ -112,15 +133,16 @@ class ModelRegistry:
         with open(self._index_path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
         self._entries = [ModelEntry(**entry) for entry in raw["entries"]]
+        self._fragments = [_encode(entry) for entry in self._entries]
 
-    def _write_index(self) -> None:
-        payload = {"version": 1,
-                   "entries": [asdict(entry) for entry in self._entries]}
+    def _write_index(self, fragments: List[str]) -> None:
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-index-",
                                    suffix=".json")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=1)
+                handle.write('{"version": 1, "entries": [\n')
+                handle.write(",\n".join(fragments))
+                handle.write("\n]}\n")
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, self._index_path)
@@ -159,7 +181,6 @@ class ModelRegistry:
                 suffix += 1
                 model_id = f"{base}-{suffix}"
             rel_path = os.path.join(_MODEL_DIR, f"{model_id}.npz")
-            tuner.save(os.path.join(self.root, rel_path))
             entry = ModelEntry(
                 model_id=model_id, path=rel_path,
                 workload_name=workload.name,
@@ -173,8 +194,22 @@ class ModelRegistry:
                 seed=tuner.seed, train_steps=int(train_steps),
                 best_throughput=best_throughput, best_latency=best_latency,
                 parent=parent, metadata=dict(metadata or {}))
+            fragment = _encode(entry)
+            checkpoint = os.path.join(self.root, rel_path)
+            tuner.save(checkpoint)
+            try:
+                self._write_index(self._fragments + [fragment])
+            except BaseException:
+                # The index on disk does not list this model: drop its
+                # checkpoint so that neither this process nor a restarted
+                # one sees half a registration.
+                try:
+                    os.unlink(checkpoint)
+                except OSError:
+                    pass
+                raise
             self._entries.append(entry)
-            self._write_index()
+            self._fragments.append(fragment)
             return entry
 
     # -- lookup ------------------------------------------------------------
@@ -189,14 +224,15 @@ class ModelRegistry:
     def distance_components(self, entry: ModelEntry, workload: WorkloadSpec,
                             hardware: HardwareSpec) -> Tuple[float, float]:
         """Unweighted ``(workload_distance, hardware_distance)`` of a match."""
-        return (signature_distance(entry.signature, workload.signature()),
-                hardware_distance(entry.hardware_spec(), hardware))
+        return _components(entry, workload.signature(), hardware)
 
     def distance(self, entry: ModelEntry, workload: WorkloadSpec,
                  hardware: HardwareSpec) -> float:
         """Weighted workload + hardware distance of ``entry`` to a request."""
-        workload_dist, hardware_dist = self.distance_components(
-            entry, workload, hardware)
+        return self._weigh(*self.distance_components(entry, workload,
+                                                     hardware))
+
+    def _weigh(self, workload_dist: float, hardware_dist: float) -> float:
         return (self.workload_weight * workload_dist
                 + self.hardware_weight * hardware_dist)
 
@@ -215,6 +251,9 @@ class ModelRegistry:
         with get_tracer().span("registry.find_nearest",
                                workload=workload.name,
                                hardware=hardware.name) as span:
+            # A mix's signature flattens the mix: compute it once, not once
+            # per candidate.
+            signature = workload.signature()
             best: Tuple[float, int, int] | None = None  # (dist, -steps, -idx)
             best_entry: ModelEntry | None = None
             for idx, entry in enumerate(self.entries()):
@@ -222,7 +261,7 @@ class ModelRegistry:
                     continue
                 if action_dim is not None and entry.action_dim != action_dim:
                     continue
-                dist = self.distance(entry, workload, hardware)
+                dist = self._weigh(*_components(entry, signature, hardware))
                 if max_distance is not None and dist > max_distance:
                     continue
                 key = (dist, -entry.train_steps, -idx)
@@ -232,8 +271,8 @@ class ModelRegistry:
             if best_entry is None or best is None:
                 span.set_tag("match", None)
                 return None
-            workload_dist, hardware_dist = self.distance_components(
-                best_entry, workload, hardware)
+            workload_dist, hardware_dist = _components(best_entry, signature,
+                                                       hardware)
             span.set_tag("match", best_entry.model_id)
             span.set_tag("distance", round(best[0], 6))
             span.set_tag("workload_distance", round(workload_dist, 6))

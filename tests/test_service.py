@@ -12,17 +12,21 @@ Covers the acceptance scenarios of the service subsystem:
   threshold) and rollback restores the previously deployed config.
 """
 
+import errno
 import json
 import os
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
+import repro.service.registry as registry_module
 from repro.core.tuner import CDBTune
 from repro.dbsim.engine import SimulatedDatabase
 from repro.dbsim.hardware import CDB_A, CDB_B, CDB_C
 from repro.dbsim.workload import get_workload, signature_distance
+from repro.reuse.mix import WorkloadMix
 from repro.service import (
     SLA,
     AuditLog,
@@ -131,6 +135,145 @@ class TestModelRegistry:
             get_workload("sysbench-rw"), CDB_A,
             state_dim=entry.state_dim,
             action_dim=entry.action_dim) is not None
+
+    @staticmethod
+    def _index(registry):
+        with open(os.path.join(registry.root, "index.json"),
+                  encoding="utf-8") as handle:
+            return json.load(handle)
+
+    def test_index_lists_entries_after_fresh_and_reopened_registers(
+            self, tmp_path):
+        tuner = self._trained()
+        registry = ModelRegistry(tmp_path)
+        registry.register(tuner, get_workload("sysbench-rw"), CDB_A,
+                          train_steps=10, best_throughput=123.0,
+                          metadata={"best_config": {"innodb_io_capacity":
+                                                    400, "sort": 1.5}})
+        registry.register(tuner, get_workload("tpcc"), CDB_B,
+                          parent=registry.entries()[0].model_id)
+        assert self._index(registry) == {
+            "version": 1,
+            "entries": [asdict(e) for e in registry.entries()]}
+        # A reopened registry encodes the loaded entries itself.
+        reopened = ModelRegistry(tmp_path)
+        reopened.register(tuner, get_workload("ycsb"), CDB_C)
+        assert len(reopened) == 3
+        assert self._index(reopened) == {
+            "version": 1,
+            "entries": [asdict(e) for e in reopened.entries()]}
+        assert ModelRegistry(tmp_path).entries() == reopened.entries()
+
+    def test_indented_index_loads_and_survives_register(self, tmp_path):
+        tuner = self._trained()
+        seeded = ModelRegistry(tmp_path)
+        for name in ("sysbench-rw", "tpcc"):
+            seeded.register(tuner, get_workload(name), CDB_A,
+                            metadata={"session": name})
+        # The layout earlier versions wrote: the whole index, indented.
+        old = {"version": 1,
+               "entries": [asdict(e) for e in seeded.entries()]}
+        (tmp_path / "index.json").write_text(json.dumps(old, indent=1),
+                                             encoding="utf-8")
+        registry = ModelRegistry(tmp_path)
+        assert registry.entries() == seeded.entries()
+        added = registry.register(tuner, get_workload("ycsb"), CDB_A)
+        assert self._index(registry) == {
+            "version": 1, "entries": old["entries"] + [asdict(added)]}
+        assert ModelRegistry(tmp_path).entries() == \
+            seeded.entries() + [added]
+
+    def test_register_encodes_only_the_new_entry(self, tmp_path,
+                                                 monkeypatch):
+        registry = ModelRegistry(tmp_path)
+        tuner = self._trained()
+        for name in ("sysbench-rw", "tpcc", "ycsb"):
+            registry.register(tuner, get_workload(name), CDB_A)
+        encoded = []
+
+        def count(obj):
+            # A whole index counts each of its entries.
+            if isinstance(obj, dict) and "entries" in obj:
+                encoded.extend(obj["entries"])
+            else:
+                encoded.append(obj)
+
+        class CountingJson:
+            load, loads = json.load, json.loads
+
+            @staticmethod
+            def dumps(obj, *args, **kwargs):
+                count(obj)
+                return json.dumps(obj, *args, **kwargs)
+
+            @staticmethod
+            def dump(obj, *args, **kwargs):
+                count(obj)
+                return json.dump(obj, *args, **kwargs)
+
+        monkeypatch.setattr(registry_module, "json", CountingJson)
+        added = registry.register(tuner, get_workload("tpch"), CDB_A)
+        assert [e["model_id"] for e in encoded] == [added.model_id]
+        assert len(self._index(registry)["entries"]) == 4
+
+    def test_failed_index_write_leaves_no_half_registered_model(
+            self, tmp_path, monkeypatch):
+        registry = ModelRegistry(tmp_path)
+        tuner = self._trained()
+        kept = registry.register(tuner, get_workload("sysbench-rw"), CDB_A)
+        models = sorted(os.listdir(tmp_path / "models"))
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == "index.json":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError):
+            registry.register(tuner, get_workload("tpcc"), CDB_A)
+        monkeypatch.undo()
+        assert len(registry) == 1
+        assert sorted(os.listdir(tmp_path / "models")) == models
+        assert not [n for n in os.listdir(tmp_path) if n.startswith(".tmp")]
+        assert registry.find_nearest(get_workload("tpcc"),
+                                     CDB_A)[0] == kept
+        assert ModelRegistry(tmp_path).entries() == [kept]
+        # The registry stays usable once the disk recovers.
+        added = registry.register(tuner, get_workload("tpcc"), CDB_A)
+        assert ModelRegistry(tmp_path).entries() == [kept, added]
+
+    @pytest.mark.parametrize("request_workload", [
+        get_workload("tpcc"),
+        WorkloadMix.weighted("rw-tpcc", [("sysbench-rw", 0.7),
+                                         ("tpcc", 0.3)])],
+        ids=["spec", "mix"])
+    def test_find_nearest_computes_request_signature_once(
+            self, tmp_path, monkeypatch, request_workload):
+        registry = ModelRegistry(tmp_path, workload_weight=1.5,
+                                 hardware_weight=0.5)
+        tuner = self._trained()
+        for name, hardware in (("sysbench-rw", CDB_A), ("tpcc", CDB_C),
+                               ("ycsb", CDB_B)):
+            registry.register(tuner, get_workload(name), hardware)
+        cls = type(request_workload)
+        real_signature = cls.signature
+        calls = []
+
+        def signature(self):
+            calls.append(self)
+            return real_signature(self)
+
+        monkeypatch.setattr(cls, "signature", signature)
+        entry, distance = registry.find_nearest(request_workload, CDB_B)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        # Same match and bit-identical distance as the public method.
+        expected = min(registry.entries(), key=lambda e: registry.distance(
+            e, request_workload, CDB_B))
+        assert entry == expected
+        assert distance == registry.distance(entry, request_workload,
+                                             CDB_B)
 
     def test_signature_and_hardware_distances(self):
         rw = get_workload("sysbench-rw")
