@@ -122,13 +122,13 @@ class SimulatedDatabase:
         self.seed = int(seed)
         self._canonical_defaults = mysql_registry().defaults()
         if self.adapter is None:
-            self._modeled = set(MAJOR_KNOBS)
+            self._modeled = frozenset(MAJOR_KNOBS)
         else:
             unknown = set(self.adapter.values()) - set(self._canonical_defaults)
             if unknown:
                 raise KeyError(f"adapter targets unknown canonical knobs: "
                                f"{sorted(unknown)}")
-            self._modeled = set(self.adapter)
+            self._modeled = frozenset(self.adapter)
         if self.adapter is not None:
             # Last write wins, matching the scalar remap loop's dict updates.
             self._adapter_reverse: Dict[str, str] | None = {
@@ -142,7 +142,7 @@ class SimulatedDatabase:
         self.cache_size = int(cache_size)
         self._cache: "OrderedDict[tuple, DatabaseObservation | str]" = (
             OrderedDict())
-        self._minor_cache: tuple | None = None
+        self._minor: tuple | None = None  # the registry's shared tables
 
     # -- public API ------------------------------------------------------------
     def default_config(self) -> Dict[str, float]:
@@ -1096,30 +1096,41 @@ class SimulatedDatabase:
         )
         return throughput, p99, snapshot
 
-    def _ensure_minor_cache(self) -> tuple:
-        if self._minor_cache is None:
-            specs = [s for s in self.registry.tunable
-                     if s.name not in self._modeled]
-            amps = np.array([0.00075 + 0.00375 * _stable_hash01(s.name, "amp")
-                             for s in specs])
-            opts = np.array([_stable_hash01(s.name, "opt") for s in specs])
-            lows = np.array([s.min_value for s in specs])
-            highs = np.array([s.max_value for s in specs])
-            is_log = np.array([s.scale == "log" for s in specs])
-            log_lows = np.log(np.where(is_log, lows, 1.0))
-            log_highs = np.log(np.where(is_log, np.maximum(highs, lows + 1e-12),
-                                        np.e))
-            names = [s.name for s in specs]
-            idx = np.array([self.registry.index_of(name) for name in names],
-                           dtype=np.intp)
-            self._minor_cache = (names, amps, opts, lows, highs, is_log,
-                                 log_lows, log_highs, idx)
-        return self._minor_cache
+    def _minor_tables(self) -> tuple:
+        """Read-only per-knob tables of the minor-knob model.
+
+        They depend only on the registry and the modeled-knob set, so they
+        are built once per registry and shared by every database using it.
+        """
+        if self._minor is None:
+            self._minor = self.registry.cached_table(
+                ("minor-knobs", self._modeled), self._build_minor_tables)
+        return self._minor
+
+    def _build_minor_tables(self) -> tuple:
+        specs = [s for s in self.registry.tunable
+                 if s.name not in self._modeled]
+        amps = np.array([0.00075 + 0.00375 * _stable_hash01(s.name, "amp")
+                         for s in specs])
+        opts = np.array([_stable_hash01(s.name, "opt") for s in specs])
+        lows = np.array([s.min_value for s in specs])
+        highs = np.array([s.max_value for s in specs])
+        is_log = np.array([s.scale == "log" for s in specs])
+        log_lows = np.log(np.where(is_log, lows, 1.0))
+        log_highs = np.log(np.where(is_log, np.maximum(highs, lows + 1e-12),
+                                    np.e))
+        names = tuple(s.name for s in specs)
+        idx = np.array([self.registry.index_of(name) for name in names],
+                       dtype=np.intp)
+        arrays = (amps, opts, lows, highs, is_log, log_lows, log_highs, idx)
+        for array in arrays:
+            array.flags.writeable = False
+        return (names,) + arrays
 
     def _minor_factor_values(self, values: np.ndarray) -> np.ndarray:
         """Shared core over an ``(M, n_minor)`` value matrix → ``(M,)``."""
         (_names, amps, opts, lows, highs, is_log,
-         log_lows, log_highs, _idx) = self._minor_cache
+         log_lows, log_highs, _idx) = self._minor_tables()
         values = np.clip(values, lows, highs)
         span = highs - lows
         lin_u = np.where(span > 0, (values - lows) / np.where(span > 0, span, 1.0),
@@ -1145,13 +1156,13 @@ class SimulatedDatabase:
         and optimal position; the effect is a smooth bump peaking there.
         The *sum* over ~215 knobs gives the long-tail gains of Figure 8.
         """
-        names = self._ensure_minor_cache()[0]
+        names = self._minor_tables()[0]
         values = np.array([full[name] for name in names])
         return float(self._minor_factor_values(values[None, :])[0])
 
     def _minor_factor_rows(self, rows: np.ndarray) -> np.ndarray:
         """:meth:`_minor_knob_factor` for a matrix of registry-order rows."""
-        idx = self._ensure_minor_cache()[8]
+        idx = self._minor_tables()[8]
         # rows[:, idx] comes back F-ordered (advanced indexing on axis 1);
         # strided reductions pick a different pairwise blocking, so force
         # C order to keep each lane's sum bitwise equal to the scalar path.

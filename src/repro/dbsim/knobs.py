@@ -17,11 +17,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Sequence
+from typing import (Callable, Dict, Iterator, List, Mapping, Sequence,
+                    TypeVar)
 
 import numpy as np
 
 __all__ = ["KnobType", "KnobSpec", "KnobRegistry"]
+
+_T = TypeVar("_T")
 
 
 class KnobType:
@@ -158,6 +161,21 @@ class KnobRegistry:
         # Key-order permutation cache: batches usually share one dict key
         # order, so the name->index resolution runs once per distinct order.
         self._perm_cache: Dict[tuple, np.ndarray] = {}
+        # Decode tables over the tunable knobs, for from_vector.  Each entry
+        # is computed with the same Python arithmetic as KnobSpec.from_unit
+        # (exact integer spans, math.log), so the array decode matches the
+        # per-knob one bit for bit.
+        self._tunable = tuple(s for s in self._specs if s.tunable)
+        self._tunable_names = tuple(s.name for s in self._tunable)
+        self._tunable_idx = np.flatnonzero([s.tunable for s in self._specs])
+        self._tunable_span = np.array([float(s.span) for s in self._tunable])
+        self._log_pos = np.flatnonzero(
+            [s.scale == "log" for s in self._tunable])
+        log_specs = [self._tunable[i] for i in self._log_pos]
+        self._log_lo = np.array([math.log(s.min_value) for s in log_specs])
+        self._log_span = np.array([
+            math.log(s.max_value) - math.log(s.min_value) for s in log_specs])
+        self._derived: Dict[object, object] = {}  # see cached_table
 
     # -- basic access ----------------------------------------------------------
     def __len__(self) -> int:
@@ -181,19 +199,30 @@ class KnobRegistry:
 
     @property
     def tunable(self) -> List[KnobSpec]:
-        return [s for s in self._specs if s.tunable]
+        return list(self._tunable)
 
     @property
     def tunable_names(self) -> List[str]:
-        return [s.name for s in self._specs if s.tunable]
+        return list(self._tunable_names)
 
     @property
     def n_tunable(self) -> int:
-        return len(self.tunable)
+        return len(self._tunable)
 
     def defaults(self) -> Dict[str, float]:
         """The vendor-default configuration (the paper's 'MySQL default')."""
         return {s.name: s.default for s in self._specs}
+
+    def cached_table(self, key: object, build: Callable[[], _T]) -> _T:
+        """The table ``build()`` derives from this catalog, built once.
+
+        Tables live and die with the registry, which no method mutates, so
+        every holder of the registry shares them; keep them read-only.
+        """
+        table = self._derived.get(key)
+        if table is None:
+            table = self._derived.setdefault(key, build())
+        return table
 
     # -- subsetting ----------------------------------------------------------
     def subset(self, names: Sequence[str]) -> "KnobRegistry":
@@ -234,17 +263,42 @@ class KnobRegistry:
         come from ``base`` or, failing that, the defaults.
         """
         vector = np.asarray(vector, dtype=np.float64).reshape(-1)
-        tunable = self.tunable
-        if vector.size != len(tunable):
+        if vector.size != len(self._tunable):
             raise ValueError(
-                f"expected action of dim {len(tunable)}, got {vector.size}"
+                f"expected action of dim {len(self._tunable)}, "
+                f"got {vector.size}"
             )
-        config = dict(base) if base is not None else {}
-        for spec in self._specs:
-            config.setdefault(spec.name, spec.default)
-        for spec, u in zip(tunable, vector):
-            config[spec.name] = spec.from_unit(float(u))
+        if base is None:
+            config = self.defaults()
+        else:
+            config = dict(base)
+            if not self._by_name.keys() <= config.keys():
+                for spec in self._specs:
+                    config.setdefault(spec.name, spec.default)
+        config.update(zip(self._tunable_names, self._decode(vector)))
         return config
+
+    def _decode(self, u: np.ndarray) -> List[float]:
+        """``[spec.from_unit(x) for spec, x in zip(tunable, u)]`` as array ops.
+
+        Log-scale knobs take ``math.exp`` per element: numpy's SIMD ``exp``
+        can differ in the last bit, and on a range as wide as
+        ``max_join_size`` (up to 2**64 - 1) that bit survives rounding.
+        """
+        positions = self._tunable_idx
+        low = self._min_arr[positions]
+        u = np.clip(u, 0.0, 1.0)
+        raw = low + u * self._tunable_span
+        exponents = self._log_lo + u[self._log_pos] * self._log_span
+        raw[self._log_pos] = [math.exp(x) for x in exponents.tolist()]
+        np.clip(raw, low, self._max_arr[positions], out=raw)
+        rounded = self._round_mask[positions]
+        grid = raw[rounded]
+        if np.isnan(grid).any():
+            raise ValueError("cannot convert float NaN to integer")
+        # + 0.0 turns rint's -0.0 into the 0.0 that float(round(x)) gives.
+        raw[rounded] = np.rint(grid) + 0.0
+        return raw.tolist()
 
     def validate(self, config: Mapping[str, float]) -> Dict[str, float]:
         """Clip and quantize every known knob value; reject unknown names."""

@@ -17,6 +17,8 @@ Byte-valued constants below are plain integers to keep defaults exact.
 
 from __future__ import annotations
 
+import functools
+
 from .knobs import KnobRegistry, KnobSpec, KnobType
 
 __all__ = ["mysql_registry", "MAJOR_KNOBS", "MYSQL_KNOB_COUNT"]
@@ -419,8 +421,13 @@ def _build_specs() -> list[KnobSpec]:
     return specs
 
 
+@functools.lru_cache(maxsize=None)
 def mysql_registry() -> KnobRegistry:
-    """The full CDB/MySQL catalog: exactly 266 tunable knobs plus blacklist."""
+    """The full CDB/MySQL catalog: exactly 266 tunable knobs plus blacklist.
+
+    Built once per process and shared: ``KnobRegistry`` has no mutators,
+    and every tuner and simulated database reads the same catalog.
+    """
     registry = KnobRegistry(_build_specs())
     if registry.n_tunable != MYSQL_KNOB_COUNT:
         raise AssertionError(

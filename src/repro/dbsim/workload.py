@@ -110,11 +110,12 @@ def signature_distance(a: Dict[str, float], b: Dict[str, float]) -> float:
 
     Features missing on either side count as maximally different (1.0),
     so signatures produced by different library versions stay comparable
-    instead of silently looking identical.
+    instead of silently looking identical.  The sum runs in sorted key
+    order: set order follows the per-process string-hash seed, and a
+    different summation order can change the last bit of the distance.
     """
-    keys = set(a) | set(b)
     total = 0.0
-    for key in keys:
+    for key in sorted(set(a) | set(b)):
         if key in a and key in b:
             total += (float(a[key]) - float(b[key])) ** 2
         else:

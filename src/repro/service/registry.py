@@ -284,7 +284,7 @@ class ModelRegistry:
         """Warm-start ``tuner`` from a registered checkpoint.
 
         Raises ``OSError`` when the checkpoint is missing from disk or
-        corrupt (truncated archive, pickled garbage, …) — an indexed
+        corrupt (truncated, failing its CRC, not a checkpoint, …) — an indexed
         entry is a promise the filesystem may no longer keep, and callers
         (the service's warm-start path) must treat that as "no match",
         not as a fatal session error.

@@ -7,6 +7,7 @@ tests pin the full roundtrip, backward compatibility with pre-optimizer
 checkpoints, and the atomicity of ``nn.save_state``.
 """
 
+import json
 import os
 import threading
 
@@ -219,3 +220,133 @@ class TestAtomicSave:
         loaded = nn.load_state(path)
         assert loaded["x"].shape == (64,)
         assert len(set(loaded["x"])) == 1  # one writer's complete payload
+
+
+def _sample_state():
+    rng = np.random.default_rng(4)
+    return {
+        "weight": rng.normal(size=(17, 5)),
+        "bias": rng.normal(size=5),
+        "fortran": np.asfortranarray(rng.normal(size=(3, 4))),
+        "step_count": np.asarray(12, dtype=np.int64),
+        "count": np.asarray(3.5),
+        "empty": np.zeros((0, 6)),
+        "flags": np.array([True, False, True]),
+        "codes": np.arange(6, dtype=np.uint16).reshape(2, 3),
+        "complex": np.array([1 + 2j, -3j]),
+    }
+
+
+def _assert_same_arrays(loaded, state):
+    assert list(loaded) == list(state)
+    for name, array in state.items():
+        assert loaded[name].dtype == array.dtype, name
+        assert loaded[name].shape == array.shape, name
+        assert loaded[name].tobytes() == array.tobytes(), name
+
+
+def _rewrite_header(path, edit):
+    """Re-encode a checkpoint's JSON header after ``edit(header)``."""
+    raw = path.read_bytes()
+    magic = nn.serialization._MAGIC
+    length = nn.serialization._LENGTH
+    (size,) = length.unpack_from(raw, len(magic))
+    start = len(magic) + length.size
+    header = json.loads(raw[start:start + size])
+    edit(header)
+    encoded = json.dumps(header).encode()
+    path.write_bytes(magic + length.pack(len(encoded)) + encoded
+                     + raw[start + size:])
+
+
+class TestCheckpointFormat:
+    def test_round_trip_keeps_names_dtypes_shapes_and_bytes(self, tmp_path):
+        state = _sample_state()
+        nn.save_state(state, tmp_path / "model.npz")
+        loaded = nn.load_state(tmp_path / "model.npz")
+        _assert_same_arrays(loaded, state)
+        assert all(array.flags.owndata and array.flags.c_contiguous
+                   for array in loaded.values())
+
+    def test_file_is_not_a_zip_archive(self, tmp_path):
+        nn.save_state(_sample_state(), tmp_path / "model.npz")
+        assert (tmp_path / "model.npz").read_bytes().startswith(
+            nn.serialization._MAGIC)
+
+    def test_agent_checkpoint_arrays_own_their_memory(self, tmp_path):
+        agent = _trained_agent()
+        agent.save(tmp_path / "agent.npz")
+        loaded = nn.load_state(tmp_path / "agent.npz")
+        _assert_same_arrays(loaded, {name: np.asarray(value) for name, value
+                                     in agent.state_dict().items()})
+        assert all(array.flags.owndata for array in loaded.values())
+
+    def test_zip_checkpoint_from_np_savez_loads(self, tmp_path):
+        state = _sample_state()
+        path = tmp_path / "old.npz"
+        np.savez(path, **state)
+        loaded = nn.load_state(path)
+        _assert_same_arrays(loaded, state)
+        assert all(array.flags.owndata for array in loaded.values())
+
+    def test_zip_checkpoint_warm_starts_a_tuner(self, tmp_path):
+        """A model stored by an older release (``np.savez`` layout) warm-
+        starts a tuner exactly like the same model in today's layout."""
+        from repro.core import CDBTune
+        from repro.dbsim import CDB_A
+
+        source = CDBTune(seed=5, noise=0.0)
+        source.save(tmp_path / "new.npz")
+        np.savez(tmp_path / "old.npz", **nn.load_state(tmp_path / "new.npz"))
+        runs = []
+        for name in ("old.npz", "new.npz"):
+            tuner = CDBTune(seed=9, noise=0.0).load(tmp_path / name)
+            runs.append(tuner.tune(CDB_A, "sysbench-rw", steps=3,
+                                   fine_tune=True))
+        assert runs[0].best_config == runs[1].best_config
+        assert [r.reward for r in runs[0].records] == [
+            r.reward for r in runs[1].records]
+
+    def test_object_array_raises_type_error_and_leaves_no_file(
+            self, tmp_path):
+        with pytest.raises(TypeError):
+            nn.save_state({"x": np.ones(3),
+                           "bad": np.array([{}, None], dtype=object)},
+                          tmp_path / "model.npz")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("damage", [
+        "flipped body byte", "short body", "trailing bytes", "object dtype",
+        "sizes past end of file", "negative shape", "short header",
+        "unknown format",
+    ])
+    def test_damaged_checkpoint_raises_oserror(self, tmp_path, damage):
+        path = tmp_path / "model.npz"
+        nn.save_state(_sample_state(), path)
+        raw = path.read_bytes()
+        if damage == "flipped body byte":
+            path.write_bytes(raw[:-20] + bytes([raw[-20] ^ 0x01])
+                             + raw[-19:])
+        elif damage == "short body":
+            path.write_bytes(raw[:-1])
+        elif damage == "trailing bytes":
+            path.write_bytes(raw + b"\x00")
+        elif damage == "object dtype":
+            def edit(header):
+                header["arrays"][0][1] = "|O"
+            _rewrite_header(path, edit)
+        elif damage == "sizes past end of file":
+            def edit(header):
+                header["arrays"][0][2] = [1 << 40]
+                header["body_bytes"] += 8 << 40
+            _rewrite_header(path, edit)
+        elif damage == "negative shape":
+            def edit(header):
+                header["arrays"][0][2] = [-17, -5]
+            _rewrite_header(path, edit)
+        elif damage == "short header":
+            path.write_bytes(raw[:40])
+        else:
+            path.write_bytes(b"not a checkpoint at all")
+        with pytest.raises(OSError, match="corrupt or truncated"):
+            nn.load_state(path)

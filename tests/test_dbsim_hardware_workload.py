@@ -1,6 +1,13 @@
 """Tests for hardware specs (Table 1) and workload specs."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.dbsim import (
     CDB_A,
@@ -117,3 +124,36 @@ class TestWorkloads:
     def test_working_set_consistency(self):
         for workload in WORKLOADS.values():
             assert 0 < workload.working_set_gb <= workload.data_gb
+
+
+# Distances of 2- and 3-way mixes of the named workloads to tpcc, printed
+# as reprs so that a last-bit difference shows.
+_DISTANCES_SCRIPT = """
+import itertools, random
+from repro.dbsim.workload import WORKLOADS, signature_distance
+from repro.reuse.mix import WorkloadMix
+rng = random.Random(5)
+names = sorted(WORKLOADS)
+target = WORKLOADS["tpcc"].signature()
+parts = (list(itertools.combinations(names, 2))
+         + list(itertools.combinations(names, 3)))
+for part in parts:
+    mix = WorkloadMix.weighted(
+        "mix", [(WORKLOADS[p], rng.uniform(0.2, 1.0)) for p in part])
+    print(repr(signature_distance(mix.signature(), target)))
+"""
+
+
+def test_signature_distance_does_not_depend_on_hash_seed():
+    """Set iteration order follows PYTHONHASHSEED; the distance must not."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", _DISTANCES_SCRIPT],
+                                capture_output=True, text=True, env=env,
+                                timeout=120)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0].count("\n") == 35
+    assert outputs[0] == outputs[1]

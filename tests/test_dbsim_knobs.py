@@ -165,3 +165,111 @@ class TestCatalogs:
 
     def test_catalogs_are_reproducible(self):
         assert mysql_registry().names == mysql_registry().names
+
+
+def _scalar_from_vector(registry, vector, base=None):
+    """Reference decode: one ``KnobSpec.from_unit`` call per tunable knob."""
+    config = dict(base) if base is not None else {}
+    for spec in registry:
+        config.setdefault(spec.name, spec.default)
+    for spec, u in zip(registry.tunable, vector):
+        config[spec.name] = spec.from_unit(float(u))
+    return config
+
+
+def _decode_catalogs():
+    mysql = mysql_registry()
+    subset_names = [n for n in mysql.names[::5] if n != "max_join_size"]
+    return {
+        "mysql": mysql,
+        "mongodb": mongodb_registry()[0],
+        "postgres": postgres_registry()[0],
+        # Covers the widest range (max_join_size, up to 2**64 - 1) and
+        # a blacklisted knob inside a subset.
+        "subset": mysql.subset(subset_names + ["max_join_size"]),
+    }
+
+
+class TestVectorDecode:
+    @pytest.mark.parametrize("catalog", ["mysql", "mongodb", "postgres",
+                                         "subset"])
+    def test_from_vector_matches_per_knob_decode(self, catalog):
+        """Values, types and key order equal the per-knob decode, bit for
+        bit (repr tells -0.0 from 0.0 and int from float), on random and
+        boundary vectors, with and without a base configuration."""
+        registry = _decode_catalogs()[catalog]
+        # A partial base in foreign key order: its keys come first, the
+        # registry's missing knobs follow.
+        defaults = list(mysql_registry().defaults().items())
+        base = dict(reversed(defaults[::2]))
+        rng = np.random.default_rng(len(catalog))
+        for i in range(5000):
+            if i % 4 == 0:
+                vector = rng.choice([0.0, -0.0, 1.0, -0.1, 1.2],
+                                    size=registry.n_tunable)
+            else:
+                vector = rng.uniform(-0.2, 1.2, size=registry.n_tunable)
+            given = base if i % 2 else None
+            assert (repr(registry.from_vector(vector, base=given))
+                    == repr(_scalar_from_vector(registry, vector, given)))
+
+    def test_nan_in_integer_slot_raises(self):
+        registry = mysql_registry()
+        vector = np.full(registry.n_tunable, 0.5)
+        vector[registry.tunable_names.index("max_connections")] = np.nan
+        with pytest.raises(ValueError):
+            _scalar_from_vector(registry, vector)
+        with pytest.raises(ValueError):
+            registry.from_vector(vector)
+
+    def test_nan_in_float_slot_passes_through(self):
+        registry = mysql_registry()
+        name = next(s.name for s in registry.tunable
+                    if s.knob_type == KnobType.FLOAT)
+        vector = np.full(registry.n_tunable, 0.5)
+        vector[registry.tunable_names.index(name)] = np.nan
+        assert np.isnan(registry.from_vector(vector)[name])
+
+
+class TestSharedTables:
+    def test_mysql_catalog_is_built_once(self):
+        assert mysql_registry() is mysql_registry()
+
+    def test_second_database_rebuilds_no_tables(self, monkeypatch):
+        from repro.dbsim import CDB_A, SimulatedDatabase, get_workload
+        from repro.dbsim import engine, mysql_knobs
+
+        workload = get_workload("tpcc")
+        first = SimulatedDatabase(CDB_A, workload, noise=0.0)
+        first.evaluate(first.default_config())
+        calls = []
+
+        def spy(function):
+            def wrapped(*args):
+                calls.append(function.__name__)
+                return function(*args)
+            return wrapped
+
+        monkeypatch.setattr(mysql_knobs, "_build_specs",
+                            spy(mysql_knobs._build_specs))
+        monkeypatch.setattr(engine, "_stable_hash01",
+                            spy(engine._stable_hash01))
+        second = SimulatedDatabase(CDB_A, workload, noise=0.0)
+        observation = second.evaluate(second.default_config())
+        assert calls == []
+        assert observation.throughput == first.evaluate(
+            first.default_config()).throughput
+
+    def test_minor_tables_are_read_only(self):
+        from repro.dbsim import CDB_A, SimulatedDatabase, get_workload
+
+        db = SimulatedDatabase(CDB_A, get_workload("tpcc"), noise=0.0)
+        db.evaluate(db.default_config())
+        names, *arrays = db._minor_tables()
+        assert isinstance(names, tuple) and names
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+        replica = db.replica()
+        assert replica._minor_tables() is db._minor_tables()
