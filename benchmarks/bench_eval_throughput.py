@@ -1,23 +1,26 @@
 """Evaluation-throughput benchmark for the batched + cached evaluation path.
 
-Two measurements, emitted together as ``BENCH_eval.json``:
+``evaluate`` is a one-config batch of the same core as ``evaluate_many``:
+one config runs the simulator model on Python floats, a batch runs it on
+numpy arrays.  Two measurements, emitted together as ``BENCH_eval.json``:
 
-* **Batched vs scalar, cache off** — ``evaluate_many`` against a loop of
-  ``evaluate`` calls on the same N fresh configs, for N in {1, 8, 64, 512}.
-  This isolates the vectorized stress-test path (one numpy pass over an
-  ``(N, n_knobs)`` matrix) from any caching effect.
+* **Batch vs loop, cache off** — one ``evaluate_many`` call against a
+  loop of single ``evaluate`` calls on the same N fresh configs, for N in
+  {1, 8, 64, 512}.  This isolates the array path (one numpy pass over an
+  ``(N, n_knobs)`` matrix) from any caching effect; at N=1 both sides run
+  the float path.  The ``scalar_*`` keys hold the loop.
 * **Sweep** — configs/sec on a 64-config knob sweep with repeated
   probes — the access pattern of the exploit-around-best moves in
   ``offline_train`` and of every baseline's re-measurement — comparing a
-  serial ``evaluate`` loop against one ``evaluate_many`` call, cache off
-  in both, plus the cache hit rate of a real ``offline_train`` run.
+  loop of ``evaluate`` calls against one ``evaluate_many`` call, cache
+  off in both, plus the cache hit rate of a real ``offline_train`` run.
 
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_eval_throughput.py --out BENCH_eval.json
 
-``--smoke`` runs a small batched-vs-scalar shape only and exits non-zero
-if the batched path is slower than the scalar loop (the CI guard).
+``--smoke`` runs a small batch-vs-loop shape only and exits non-zero if
+the batch is slower than the loop of single calls (the CI guard).
 """
 
 from __future__ import annotations
@@ -32,14 +35,14 @@ import numpy as np
 
 from repro.core.tuner import CDBTune
 from repro.dbsim import CDB_A, DatabaseCrashError, SimulatedDatabase
-from repro.dbsim.logsystem import crashes_disk_array
+from repro.dbsim.logsystem import crashes_disk_values
 from repro.dbsim.mysql_knobs import mysql_registry
 from repro.dbsim.workload import get_workload
 
 N_CONFIGS = 64
 PROBE_REPEATS = 12  # each config re-measured this many times (same trial)
 TIMING_RUNS = 3     # best-of-N wall clock, to shrug off machine noise
-BATCH_SIZES = (1, 8, 64, 512)  # batched-vs-scalar curve (cache off)
+BATCH_SIZES = (1, 8, 64, 512)  # batch-vs-loop curve (cache off)
 
 
 def make_database(cache_size: int = 2048) -> SimulatedDatabase:
@@ -62,14 +65,14 @@ def sweep_jobs():
 
 def run_batched_curve(batch_sizes=BATCH_SIZES,
                       timing_runs: int = TIMING_RUNS) -> dict:
-    """Batched ``evaluate_many`` vs a scalar ``evaluate`` loop, cache off.
+    """One ``evaluate_many`` call vs an ``evaluate`` loop, cache off.
 
     Every batch size gets its own fresh random configs (distinct trials),
     so nothing is ever answered from memory — the curve measures the
-    vectorized stress-test path alone.  Crash-region configs are redrawn:
-    a crash short-circuits before any scoring in both paths (§5.2.3's
-    redo-log rule is a cheap precheck), so including them would measure
-    the precheck instead of the solver.  Results are bitwise identical
+    stress-test model alone.  Crash-region configs are redrawn: a crash
+    short-circuits before any scoring in both paths (§5.2.3's redo-log
+    rule is a cheap precheck), so including them would measure the
+    precheck instead of the solver.  Results are bitwise identical
     between the two paths; only wall clock differs.
     """
     registry = mysql_registry()
@@ -79,10 +82,9 @@ def run_batched_curve(batch_sizes=BATCH_SIZES,
         configs = []
         while len(configs) < n:
             config = registry.random_config(rng)
-            if not crashes_disk_array(
-                    np.asarray(config["innodb_log_file_size"]),
-                    np.asarray(config["innodb_log_files_in_group"]),
-                    CDB_A.disk_gb):
+            if not crashes_disk_values(config["innodb_log_file_size"],
+                                       config["innodb_log_files_in_group"],
+                                       CDB_A.disk_gb):
                 configs.append(config)
         trials = list(range(1, n + 1))
         default = registry.defaults()
@@ -90,29 +92,29 @@ def run_batched_curve(batch_sizes=BATCH_SIZES,
         # reuses one instance across thousands of evaluations, so the
         # steady-state rate is the meaningful number.  The cache is off,
         # so runs share no state beyond the warmed lazy tables.
-        scalar_db = make_database(cache_size=0)
-        scalar_db.evaluate(default, trial=0)
+        loop_db = make_database(cache_size=0)
+        loop_db.evaluate(default, trial=0)
         batch_db = make_database(cache_size=0)
         batch_db.evaluate_many([default], trials=[0])
-        scalar_walls, batch_walls = [], []
+        loop_walls, batch_walls = [], []
         for _ in range(timing_runs):
             tick = time.perf_counter()
             for config, trial in zip(configs, trials):
                 try:
-                    scalar_db.evaluate(config, trial=trial)
+                    loop_db.evaluate(config, trial=trial)
                 except DatabaseCrashError:
                     pass
-            scalar_walls.append(time.perf_counter() - tick)
+            loop_walls.append(time.perf_counter() - tick)
             tick = time.perf_counter()
             batch_db.evaluate_many(configs, trials=trials)
             batch_walls.append(time.perf_counter() - tick)
-        scalar_wall, batch_wall = min(scalar_walls), min(batch_walls)
+        loop_wall, batch_wall = min(loop_walls), min(batch_walls)
         curve[f"n_{n}"] = {
-            "scalar_wall_s": scalar_wall,
+            "scalar_wall_s": loop_wall,
             "batch_wall_s": batch_wall,
-            "scalar_configs_per_s": n / scalar_wall,
+            "scalar_configs_per_s": n / loop_wall,
             "batch_configs_per_s": n / batch_wall,
-            "speedup": scalar_wall / batch_wall,
+            "speedup": loop_wall / batch_wall,
         }
     return {"batch_sizes": list(batch_sizes), "curve": curve}
 
@@ -122,7 +124,7 @@ def run_batched_uncached(jobs) -> dict:
 
     The direct batched counterpart of :func:`run_serial_uncached`: same
     768 requests, same crash shortcuts, no cache in either path — the
-    speedup is pure vectorization at the sweep's real request shape.
+    speedup is the array path at the sweep's real request shape.
     """
     configs = [c for c, _ in jobs]
     trials = [t for _, t in jobs]
@@ -181,20 +183,20 @@ def main() -> None:
     parser.add_argument("--out", default="BENCH_eval.json",
                         help="output JSON path")
     parser.add_argument("--smoke", action="store_true",
-                        help="small batched-vs-scalar shape only; exit "
+                        help="small batch-vs-loop shape only; exit "
                              "non-zero if batching is slower (CI guard)")
     args = parser.parse_args()
 
     if args.smoke:
         batched = run_batched_curve(batch_sizes=(32,), timing_runs=2)
         point = batched["curve"]["n_32"]
-        print(f"smoke: scalar {point['scalar_configs_per_s']:8.1f} configs/s"
+        print(f"smoke: loop {point['scalar_configs_per_s']:8.1f} configs/s"
               f"  batched {point['batch_configs_per_s']:8.1f} configs/s"
               f"  ({point['speedup']:.2f}x)")
         if point["speedup"] < 1.0:
-            print("FAIL: batched path slower than scalar serial")
+            print("FAIL: batched path slower than a loop of single calls")
             sys.exit(1)
-        print("OK: batched path at least as fast as scalar serial")
+        print("OK: batched path at least as fast as a loop of single calls")
         return
 
     jobs = sweep_jobs()
@@ -205,7 +207,7 @@ def main() -> None:
     for n in batched["batch_sizes"]:
         point = batched["curve"][f"n_{n}"]
         print(f"batched N={n:<4d} (no cache): "
-              f"scalar {point['scalar_configs_per_s']:8.1f} configs/s  "
+              f"loop {point['scalar_configs_per_s']:8.1f} configs/s  "
               f"batched {point['batch_configs_per_s']:8.1f} configs/s  "
               f"({point['speedup']:.1f}x)")
 
@@ -236,9 +238,12 @@ def main() -> None:
         },
         "offline_train": training,
         "notes": (
-            "batched_uncached compares evaluate_many against a scalar "
-            "evaluate loop on fresh configs with the cache disabled — "
-            "pure vectorization, bitwise-identical observations. "
+            "batched_uncached compares one evaluate_many call against a "
+            "loop of evaluate calls on fresh configs with the cache "
+            "disabled; scalar_* keys hold the loop, whose every call is a "
+            "one-config batch on the float path, and batch_* keys the "
+            "array path (at n_1 both run the float path). Observations "
+            "are bitwise-identical. "
             "offline_train reports how many of a real training run's "
             "evaluations the LRU evaluation cache answered."
         ),

@@ -9,6 +9,11 @@ Reproduces the concurrency structure of a MySQL-style server:
   The sweet spot sits at a small multiple of the core count.
 * Row locks: lock-wait probability grows with concurrent writers on a
   skewed key space (TPC-C district rows, Sysbench hot rows).
+
+The model function takes the number namespace ``ops`` first and runs
+for one config on Python floats or for a batch on numpy arrays
+(:mod:`repro.dbsim.numeric`); ``evaluate_concurrency`` checks its
+arguments and runs the model for one config.
 """
 
 from __future__ import annotations
@@ -17,8 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numeric import FLOATS
+
 __all__ = ["ConcurrencyConfig", "ConcurrencyOutcome", "evaluate_concurrency",
-           "ConcurrencyArrays", "evaluate_concurrency_arrays"]
+           "concurrency_model"]
 
 
 @dataclass(frozen=True)
@@ -35,7 +42,11 @@ class ConcurrencyConfig:
 
 @dataclass(frozen=True)
 class ConcurrencyOutcome:
-    """Derived concurrency behaviour."""
+    """Derived concurrency behaviour.
+
+    Each field holds one value per config: a float for one config, an
+    array over a batch (see :mod:`repro.dbsim.numeric`).
+    """
 
     admitted_threads: float    # connections actually serving the workload
     active_workers: float      # threads concurrently executing in the engine
@@ -46,36 +57,22 @@ class ConcurrencyOutcome:
     thread_create_rate: float  # thread churn from a cold thread cache
 
 
-@dataclass(frozen=True)
-class ConcurrencyArrays:
-    """:class:`ConcurrencyOutcome` with one array entry per config."""
+def concurrency_model(ops, max_connections, thread_concurrency,
+                      thread_cache_size, spin_wait_delay, sync_spin_loops,
+                      offered_threads: int, cores: int, write_frac: float,
+                      skew: float) -> ConcurrencyOutcome:
+    """Admission, engine concurrency and lock contention per config.
 
-    admitted_threads: np.ndarray
-    active_workers: np.ndarray
-    contention_factor: np.ndarray
-    admission_ratio: np.ndarray
-    lock_wait_frac: np.ndarray
-    avg_lock_wait_ms: np.ndarray
-    thread_create_rate: np.ndarray
-
-
-def evaluate_concurrency_arrays(max_connections, thread_concurrency,
-                                thread_cache_size, spin_wait_delay,
-                                sync_spin_loops, offered_threads: int,
-                                cores: int, write_frac: float,
-                                skew: float) -> ConcurrencyArrays:
-    """Vectorized :func:`evaluate_concurrency` over per-config knob arrays.
-
-    Knob inputs may be arrays (validated values, one per config); workload
-    and hardware inputs are scalars.  Runs the same numpy ops as the
-    scalar path so both routes produce bitwise-identical results.
+    ``ops`` is numpy or :data:`~repro.dbsim.numeric.FLOATS`.  Knob inputs
+    hold one validated value per config; workload and hardware inputs are
+    scalars.  :func:`evaluate_concurrency` is the checked entry point.
     """
-    admitted = np.minimum(float(offered_threads), max_connections)
+    admitted = ops.minimum(float(offered_threads), max_connections)
     admission_ratio = admitted / offered_threads
 
     # Engine-side concurrency limit.
-    inside = np.where(thread_concurrency > 0,
-                      np.minimum(admitted, thread_concurrency), admitted)
+    inside = ops.where(thread_concurrency > 0,
+                       ops.minimum(admitted, thread_concurrency), admitted)
 
     # Mutex/spinlock contention once the engine oversubscribes the cores.
     # The optimum is a few threads per core; beyond that, cache-line
@@ -83,29 +80,29 @@ def evaluate_concurrency_arrays(max_connections, thread_concurrency,
     optimal = cores * 6.0
     excess = (inside - optimal) / optimal
     # Well-chosen spin parameters shave a little off the contention.
-    spin_tune = np.where((spin_wait_delay >= 4) & (spin_wait_delay <= 12)
-                         & (sync_spin_loops >= 20) & (sync_spin_loops <= 60),
-                         0.85, 1.0)
-    contention = np.where(
+    spin_tune = ops.where((spin_wait_delay >= 4) & (spin_wait_delay <= 12)
+                          & (sync_spin_loops >= 20) & (sync_spin_loops <= 60),
+                          0.85, 1.0)
+    contention = ops.where(
         inside <= optimal,
         1.0 + 0.02 * (inside / optimal),
         1.0 + 0.02 + spin_tune * (0.55 * excess + 0.25 * (excess * excess)))
 
     # Workers doing useful engine work at any instant.
-    active = np.minimum(inside, optimal * (1.0 + 0.4 * np.log1p(
-        np.maximum(inside - optimal, 0.0) / optimal)))
+    active = ops.minimum(inside, optimal * (1.0 + 0.4 * np.log1p(
+        ops.maximum(inside - optimal, 0.0) / optimal)))
 
     # Row-lock waits: concurrent writers on a skewed key space.
     writers = active * write_frac
     hot_collision = skew ** 2 * writers / (writers + 40.0)
-    lock_wait_frac = np.clip(hot_collision, 0.0, 0.6)
+    lock_wait_frac = ops.clip(hot_collision, 0.0, 0.6)
     avg_lock_wait_ms = 0.4 + 18.0 * lock_wait_frac
 
-    churn = np.maximum(0.0, admitted - thread_cache_size) * 0.02
+    churn = ops.maximum(0.0, admitted - thread_cache_size) * 0.02
 
-    return ConcurrencyArrays(
+    return ConcurrencyOutcome(
         admitted_threads=admitted,
-        active_workers=np.maximum(active, 1.0),
+        active_workers=ops.maximum(active, 1.0),
         contention_factor=contention,
         admission_ratio=admission_ratio,
         lock_wait_frac=lock_wait_frac,
@@ -122,17 +119,8 @@ def evaluate_concurrency(config: ConcurrencyConfig, offered_threads: int,
         raise ValueError("offered_threads and cores must be positive")
     if not 0.0 <= write_frac <= 1.0 or not 0.0 <= skew < 1.0:
         raise ValueError("write_frac in [0,1], skew in [0,1)")
-    arrays = evaluate_concurrency_arrays(
-        float(config.max_connections), float(config.thread_concurrency),
-        float(config.thread_cache_size), float(config.spin_wait_delay),
-        float(config.sync_spin_loops), offered_threads, cores,
-        write_frac, skew)
-    return ConcurrencyOutcome(
-        admitted_threads=float(arrays.admitted_threads),
-        active_workers=float(arrays.active_workers),
-        contention_factor=float(arrays.contention_factor),
-        admission_ratio=float(arrays.admission_ratio),
-        lock_wait_frac=float(arrays.lock_wait_frac),
-        avg_lock_wait_ms=float(arrays.avg_lock_wait_ms),
-        thread_create_rate=float(arrays.thread_create_rate),
-    )
+    return concurrency_model(
+        FLOATS, float(config.max_connections),
+        float(config.thread_concurrency), float(config.thread_cache_size),
+        float(config.spin_wait_delay), float(config.sync_spin_loops),
+        offered_threads, cores, write_frac, skew)

@@ -1,13 +1,17 @@
 """The simulated cloud database: knobs in, performance + 63 metrics out.
 
 :class:`SimulatedDatabase` stands in for the paper's Tencent CDB instance.
-``evaluate(config)`` plays the role of one stress test: it composes the
-buffer-pool, redo-log, I/O and concurrency models into a throughput /
-latency estimate via a short fixed-point iteration (flush pressure depends
-on throughput, which depends on flush pressure), derives the 63 internal
-metrics from the resulting :class:`~repro.dbsim.metrics.EngineSnapshot`,
-and raises :class:`~repro.dbsim.errors.DatabaseCrashError` in the §5.2.3
-crash region.
+``evaluate(config)`` plays the role of one stress test and
+``evaluate_many(configs)`` scores a batch; both run one model.  It
+composes the buffer-pool, redo-log, I/O and concurrency models into a
+throughput / latency estimate via a short fixed-point iteration (flush
+pressure depends on throughput, which depends on flush pressure), derives
+the 63 internal metrics from the resulting
+:class:`~repro.dbsim.metrics.EngineSnapshot`, and reports the §5.2.3
+crash region, where ``evaluate`` raises
+:class:`~repro.dbsim.errors.DatabaseCrashError`.  The model runs on
+Python floats for one config and on numpy arrays for a batch
+(:mod:`repro.dbsim.numeric`); a config gets the same bits either way.
 
 Measurement noise is deterministic *per configuration* (hash-seeded), so a
 repeated stress test of the same config reproduces — while different
@@ -28,20 +32,16 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .bufferpool import (MemoryBudget, hit_ratio, hit_ratio_array,
-                         memory_pressure, memory_pressure_array)
-from .concurrency import (ConcurrencyConfig, evaluate_concurrency,
-                          evaluate_concurrency_arrays)
+from .bufferpool import MemoryBudget, hit_ratio_model, memory_pressure_model
+from .concurrency import concurrency_model
 from .errors import DatabaseCrashError
 from .hardware import HardwareSpec
-from .iomodel import (IOConfig, evaluate_io, evaluate_io_arrays,
-                      io_static_arrays)
+from .iomodel import io_model, io_static
 from .knobs import KnobRegistry
-from .logsystem import (LogConfig, crashes_disk, crashes_disk_array,
-                        evaluate_log, evaluate_log_arrays,
-                        log_static_arrays)
-from .metrics import EngineSnapshot, metrics_matrix, metrics_vector
+from .logsystem import crashes_disk_values, log_model, log_static
+from .metrics import EngineSnapshot, metrics_matrix
 from .mysql_knobs import MAJOR_KNOBS, mysql_registry
+from .numeric import FLOATS
 from .workload import WorkloadSpec
 from ..obs import get_metrics, get_tracer, profile_block
 from ..rl.reward import PerformanceSample
@@ -53,6 +53,7 @@ _ROWS_PER_PAGE = 100.0
 _PAGES_PER_ROW_POINT = 1.0   # index descent amortized
 _DIRTY_PAGES_PER_WRITE_OP = 0.5
 _STRESS_INTERVAL_S = 150.0   # §2.1.2: ~150 s of workload per step
+_SNAPSHOT_FIELDS = tuple(field.name for field in fields(EngineSnapshot))
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,7 @@ class SimulatedDatabase:
         self.noise = float(noise)
         self.seed = int(seed)
         self._canonical_defaults = mysql_registry().defaults()
+        self._adapter_reverse: Dict[str, str] | None = None
         if self.adapter is None:
             self._modeled = frozenset(MAJOR_KNOBS)
         else:
@@ -129,12 +131,10 @@ class SimulatedDatabase:
                 raise KeyError(f"adapter targets unknown canonical knobs: "
                                f"{sorted(unknown)}")
             self._modeled = frozenset(self.adapter)
-        if self.adapter is not None:
-            # Last write wins, matching the scalar remap loop's dict updates.
-            self._adapter_reverse: Dict[str, str] | None = {
+            # When several knobs map to one canonical knob, the last one in
+            # the adapter's order supplies its value.
+            self._adapter_reverse = {
                 canonical: name for name, canonical in self.adapter.items()}
-        else:
-            self._adapter_reverse = None
         self.evaluations = 0  # evaluate() requests (the paper's sample count)
         self.stress_tests = 0  # simulations actually run (cache misses)
         self.cache_hits = 0
@@ -143,6 +143,7 @@ class SimulatedDatabase:
         self._cache: "OrderedDict[tuple, DatabaseObservation | str]" = (
             OrderedDict())
         self._minor: tuple | None = None  # the registry's shared tables
+        self._jitter: tuple | None = None  # one Philox generator, re-keyed
 
     # -- public API ------------------------------------------------------------
     def default_config(self) -> Dict[str, float]:
@@ -163,16 +164,11 @@ class SimulatedDatabase:
                                  cache_size=self.cache_size)
 
     # -- evaluation cache ------------------------------------------------------
-    def cache_key(self, config: Mapping[str, float], trial: int) -> tuple:
-        """Cache key for one stress test: (trial, quantized config items)."""
-        validated = self.registry.validate(dict(config))
-        return (int(trial), self.registry.canonical_items(validated))
-
     def cache_peek(self, key: tuple):
         """Cached result for ``key`` (observation or crash message), or None.
 
-        Does not touch the hit/miss counters; ``evaluate`` and
-        ``evaluate_many`` account for those themselves.
+        Does not touch the hit/miss counters; the batch core accounts for
+        those itself.
         """
         entry = self._cache.get(key)
         if entry is not None:
@@ -189,9 +185,6 @@ class SimulatedDatabase:
         while len(self._cache) > self.cache_size:
             self._cache.popitem(last=False)
 
-    def cache_clear(self) -> None:
-        self._cache.clear()
-
     def cache_info(self) -> Dict[str, int]:
         return {"size": len(self._cache), "capacity": self.cache_size,
                 "hits": self.cache_hits, "misses": self.cache_misses}
@@ -204,34 +197,13 @@ class SimulatedDatabase:
         region.  ``trial`` varies the measurement jitter for repeated runs
         of the same configuration; repeating an identical (config, trial)
         pair is answered from the LRU cache without a new stress test.
+        This is a one-config batch of the same core as
+        :meth:`evaluate_many`.
         """
-        metrics = get_metrics()
-        metrics.counter("db.evaluate.requests").inc()
-        config = self.registry.validate(dict(config))
-        if self.cache_size > 0:
-            key = (int(trial), self.registry.canonical_items(config))
-            cached = self.cache_peek(key)
-            if cached is not None:
-                self.evaluations += 1
-                self.cache_hits += 1
-                metrics.counter("db.evaluate.cache_hits").inc()
-                if isinstance(cached, str):  # memoized crash
-                    metrics.counter("db.evaluate.crashes").inc()
-                    raise DatabaseCrashError(cached)
-                return cached
-            self.cache_misses += 1
-        try:
-            with get_tracer().span("db.stress_test", trial=int(trial)), \
-                    profile_block("db.stress_test_seconds"):
-                observation = self._evaluate_uncached(config, trial)
-        except DatabaseCrashError as error:
-            metrics.counter("db.evaluate.crashes").inc()
-            if self.cache_size > 0:
-                self.cache_put(key, str(error))
-            raise
-        if self.cache_size > 0:
-            self.cache_put(key, observation)
-        return observation
+        [(status, payload)] = self._evaluate_many_outcomes([config], [trial])
+        if status == "crash":
+            raise DatabaseCrashError(payload)
+        return payload
 
     def evaluate_many(self, configs: Sequence[Mapping[str, float]],
                       trials: "int | Sequence[int] | None" = None,
@@ -283,7 +255,7 @@ class SimulatedDatabase:
 
         if self.cache_size <= 0:
             # Cache disabled: every config is a fresh stress test, so the
-            # whole batch goes through the vectorized fast path at once.
+            # whole batch goes through the model at once.
             self.evaluations += n_items
             self.stress_tests += n_items
             rows = registry.values_matrix(configs)
@@ -333,13 +305,9 @@ class SimulatedDatabase:
                 else:
                     results[i] = ("ok", entry)
         if pending:
-            defaults = registry.defaults()
-            rows = np.empty((len(pending), len(defaults)))
-            for k, i in enumerate(pending):
-                full_db = dict(defaults)
-                full_db.update(validated[i])
-                rows[k] = np.fromiter(full_db.values(), dtype=np.float64,
-                                      count=rows.shape[1])
+            # Validation is idempotent, so these rows hold the validated
+            # values with defaults filled in.
+            rows = registry.values_matrix([validated[i] for i in pending])
             outcomes = self._run_stress_batch(
                 rows, [trial_list[i] for i in pending])
             for i, (status, payload) in zip(pending, outcomes):
@@ -357,155 +325,224 @@ class SimulatedDatabase:
         return results
 
     def _run_stress_batch(self, rows: np.ndarray, trials: List[int]) -> list:
-        """Score validated registry-order rows under one batch span."""
-        with get_tracer().span("db.stress_test_batch", size=len(trials)), \
+        """Score validated registry-order rows under one stress-test span."""
+        with get_tracer().span("db.stress_test", size=len(trials)), \
                 profile_block("db.stress_test_seconds"):
             return self._compute_many(rows, trials)
 
     def _jitter_digest(self, trial: int, sorted_values: np.ndarray) -> bytes:
-        """16-byte stable hash of (seed, trial, canonical full config)."""
+        """16-byte stable hash of (seed, trial, canonical full config).
+
+        The jitter stream is keyed by the *canonical full configuration* —
+        validated values in sorted-name order — so equivalent configs (a
+        partial config and the same config with defaults spelled out)
+        share one stream however they were written down.
+        """
         return hashlib.md5(f"{self.seed}::{int(trial)}::".encode()
                            + sorted_values.tobytes()).digest()
 
-    def _jitter_rng(self, trial: int,
-                    sorted_values: np.ndarray) -> np.random.Generator:
-        """Measurement-jitter RNG for one stress test.
+    def _columns(self, rows: np.ndarray):
+        """``(ops, col)`` for validated registry-order ``rows``.
 
-        Seeded from the *canonical full configuration* — validated values in
-        sorted-name order — so equivalent configs (e.g. a partial config vs.
-        the same config with defaults spelled out) share one jitter stream
-        regardless of how they were written down.  Philox is keyed directly
-        by the digest (no SeedSequence), which lets the batched path replay
-        the exact stream by resetting one generator's counter/key state
-        instead of constructing a fresh generator per config.
+        One row runs the model on Python floats (``ops`` is
+        :data:`~repro.dbsim.numeric.FLOATS`): numpy's per-call cost would
+        dominate a one-row batch.  More rows run on numpy arrays.
+        ``col(name)`` gives a canonical (MySQL) knob's values — a float, or
+        a contiguous array — with the adapter's remapping and canonical
+        defaults for knobs the adapter does not map; ``col(name, default)``
+        also falls back to ``default`` when the registry lacks the knob.
         """
-        key = int.from_bytes(self._jitter_digest(trial, sorted_values),
-                             "little")
-        return np.random.Generator(np.random.Philox(key=key))
+        registry = self.registry
+        reverse = self._adapter_reverse
+        m = rows.shape[0]
+        ops = FLOATS if m == 1 else np
+        row = rows[0].tolist() if m == 1 else None
+        cache: Dict[str, object] = {}
 
-    def _evaluate_uncached(self, config: Dict[str, float],
-                           trial: int) -> DatabaseObservation:
-        """The actual stress test; ``config`` is already validated."""
-        full_db = self.registry.defaults()
-        full_db.update(config)
-        if self.adapter is None:
-            full = full_db
+        def col(name: str, default: float | None = None):
+            value = cache.get(name)
+            if value is None:
+                source = name if reverse is None else reverse.get(name)
+                if source is None:
+                    value = ops.full(m, float(self._canonical_defaults[name]))
+                elif default is not None and source not in registry:
+                    value = ops.full(m, default)
+                elif row is not None:
+                    value = row[registry.index_of(source)]
+                else:
+                    # Contiguous: numpy may pick a different (last-ulp)
+                    # transcendental loop for strided input.
+                    value = np.ascontiguousarray(
+                        rows[:, registry.index_of(source)])
+                cache[name] = value
+            return value
+
+        return ops, col
+
+    def _compute_many(self, rows: np.ndarray, trials: Sequence[int]) -> list:
+        """Stress tests over validated registry-order rows.
+
+        Returns ``[(status, payload), ...]`` aligned with ``rows`` —
+        ``("crash", message)`` for crash-region rows, ``("ok", observation)``
+        otherwise.  Counter and cache bookkeeping belong to the caller.
+        The model runs once over every non-crashing row, on floats or on
+        arrays (:meth:`_columns`); both give the same bits per row.
+        """
+        registry = self.registry
+        n_total = rows.shape[0]
+        ops, col = self._columns(rows)
+
+        # Crash region first (§5.2.3).
+        log_file = col("innodb_log_file_size")
+        log_files = col("innodb_log_files_in_group")
+        crashed = np.atleast_1d(crashes_disk_values(
+            log_file, log_files, self.hardware.disk_gb))
+        outcomes: list = [None] * n_total
+        ok_index = range(n_total)
+        if crashed.any():
+            group_gb = np.atleast_1d(log_file * log_files / GIB).tolist()
+            for i in np.flatnonzero(crashed).tolist():
+                outcomes[i] = ("crash", (
+                    f"redo log group ({group_gb[i]:.1f} GB) "
+                    f"exceeds the disk capacity threshold "
+                    f"({self.hardware.disk_gb} GB disk)"))
+            ok_index = np.flatnonzero(~crashed).tolist()
+            if not ok_index:
+                return outcomes
+            rows = rows[ok_index]  # fancy index → fresh contiguous array
+            ops, col = self._columns(rows)
+        m = rows.shape[0]
+        minor = self._minor_factor_rows(rows)
+        throughput, p99, snapshot = self._solve_rows(
+            ops, col, m, minor.item() if ops is FLOATS else minor)
+
+        # Jitter, clamps and per-row observations.  Draws come from each
+        # config's own jitter stream: Philox keyed by the config's digest,
+        # replayed on one generator by resetting its key and counter.
+        # Without noise the draws stay zero and multiply by exactly 1.0.
+        raw_metrics = metrics_matrix(snapshot, m)
+        noise = self.noise
+        draws = np.zeros((m, 2 + raw_metrics.shape[1]))
+        if noise > 0:
+            # tobytes() on a strided row would copy element by element; one
+            # bulk copy yields the same bytes faster.
+            sorted_rows = np.ascontiguousarray(
+                rows[:, registry.sorted_indices])
+            if self._jitter is None:
+                bit_gen = np.random.Philox(key=0)
+                zeros4 = np.zeros(4, dtype=np.uint64)
+                self._jitter = (bit_gen,
+                                np.random.Generator(bit_gen).standard_normal,
+                                {"bit_generator": "Philox",
+                                 "state": {"counter": zeros4, "key": zeros4},
+                                 "buffer": zeros4, "buffer_pos": 4,
+                                 "has_uint32": 0, "uinteger": 0})
+            bit_gen, normal, state = self._jitter
+            for k, i in enumerate(ok_index):
+                digest = self._jitter_digest(trials[i], sorted_rows[k])
+                state["state"]["key"] = np.frombuffer(
+                    digest, dtype="<u8").astype(np.uint64, copy=False)
+                bit_gen.state = state
+                normal(out=draws[k])
+        throughput = np.maximum(throughput * (1.0 + noise * draws[:, 0]), 1.0)
+        p99 = np.maximum(p99 * (1.0 + noise * draws[:, 1]), 0.1)
+        final_metrics = np.maximum(
+            raw_metrics * (1.0 + noise * 0.5 * draws[:, 2:]), 0.0)
+
+        if ops is FLOATS:
+            snapshots = [snapshot]
         else:
-            full = dict(self._canonical_defaults)
-            for name, canonical in self.adapter.items():
-                full[canonical] = full_db[name]
-        self.evaluations += 1
-        self.stress_tests += 1
+            # tolist() converts each lane column to python floats in one C
+            # call, so row assembly is a zip instead of m*n float() casts.
+            columns = [
+                column.tolist() if isinstance(column, np.ndarray)
+                else [column] * m
+                for column in (getattr(snapshot, name)
+                               for name in _SNAPSHOT_FIELDS)]
+            snapshots = [EngineSnapshot(*row) for row in zip(*columns)]
+        throughput_list = throughput.tolist()
+        p99_list = p99.tolist()
+        for k, i in enumerate(ok_index):
+            outcomes[i] = ("ok", DatabaseObservation(
+                performance=PerformanceSample(throughput=throughput_list[k],
+                                              latency=p99_list[k]),
+                metrics=final_metrics[k].copy(),
+                snapshot=snapshots[k],
+            ))
+        return outcomes
 
-        log_cfg = LogConfig(
-            log_file_bytes=full["innodb_log_file_size"],
-            log_files_in_group=int(full["innodb_log_files_in_group"]),
-            log_buffer_bytes=full["innodb_log_buffer_size"],
-            flush_log_at_trx_commit=int(full["innodb_flush_log_at_trx_commit"]),
-            sync_binlog=int(full["sync_binlog"]),
-        )
-        if crashes_disk(log_cfg, self.hardware.disk_gb):
-            raise DatabaseCrashError(
-                "redo log group "
-                f"({log_cfg.log_file_bytes * log_cfg.log_files_in_group / GIB:.1f} GB) "
-                f"exceeds the disk capacity threshold "
-                f"({self.hardware.disk_gb} GB disk)"
-            )
+    def _solve_rows(self, ops, col, m: int, minor_factor,
+                    ) -> Tuple[object, object, EngineSnapshot]:
+        """The performance model: throughput, p99 and snapshot per config.
 
-        throughput, latency, snapshot = self._solve(full, full_db, log_cfg)
-
-        values = np.fromiter(full_db.values(), dtype=np.float64)
-        jitter_rng = self._jitter_rng(
-            trial, values[self.registry.sorted_indices])
-        if self.noise > 0:
-            throughput *= 1.0 + self.noise * jitter_rng.standard_normal()
-            latency *= 1.0 + self.noise * jitter_rng.standard_normal()
-        throughput = max(throughput, 1.0)
-        latency = max(latency, 0.1)
-
-        metrics = metrics_vector(snapshot, rng=jitter_rng,
-                                 noise=self.noise * 0.5)
-        return DatabaseObservation(
-            performance=PerformanceSample(throughput=throughput, latency=latency),
-            metrics=metrics,
-            snapshot=snapshot,
-        )
-
-    # -- internals --------------------------------------------------------------
-    def _solve(self, full: Dict[str, float], full_db: Dict[str, float],
-               log_cfg: LogConfig) -> Tuple[float, float, EngineSnapshot]:
+        Composes the concurrency, buffer-pool, memory, redo-log and I/O
+        models and solves the throughput fixed point.  ``ops`` and ``col``
+        come from :meth:`_columns`; ``minor_factor`` is the long-tail
+        factor per config.  Returns floats (one config) or arrays (a
+        batch), and an :class:`EngineSnapshot` whose fields hold the same,
+        or workload scalars.
+        """
         hw = self.hardware
         wl = self.workload
         disk = hw.disk
 
-        conc = evaluate_concurrency(
-            ConcurrencyConfig(
-                max_connections=int(full["max_connections"]),
-                thread_concurrency=int(full["innodb_thread_concurrency"]),
-                thread_cache_size=int(full["thread_cache_size"]),
-                spin_wait_delay=int(full["innodb_spin_wait_delay"]),
-                sync_spin_loops=int(full["innodb_sync_spin_loops"]),
-                back_log=int(full["back_log"]),
-            ),
+        conc = concurrency_model(
+            ops, col("max_connections"), col("innodb_thread_concurrency"),
+            col("thread_cache_size"), col("innodb_spin_wait_delay"),
+            col("innodb_sync_spin_loops"),
             offered_threads=wl.threads, cores=hw.cores,
             write_frac=wl.write_frac, skew=wl.skew,
         )
 
-        pool_gb = full["innodb_buffer_pool_size"] / GIB
-        hit = hit_ratio(pool_gb, wl.working_set_gb, wl.skew,
-                        instances=int(full["innodb_buffer_pool_instances"]))
+        pool_gb = col("innodb_buffer_pool_size") / GIB
+        hit = hit_ratio_model(ops, pool_gb, wl.working_set_gb, wl.skew,
+                              instances=col("innodb_buffer_pool_instances"))
 
         session_bytes = (
-            full["sort_buffer_size"] + full["join_buffer_size"]
-            + full["read_buffer_size"] + full["read_rnd_buffer_size"]
-            + full["binlog_cache_size"] + full.get("thread_stack", 262144.0)
+            col("sort_buffer_size") + col("join_buffer_size")
+            + col("read_buffer_size") + col("read_rnd_buffer_size")
+            + col("binlog_cache_size") + col("thread_stack", 262144.0)
         )
         # Session buffers are held while a session executes, so demand
         # scales with concurrently active workers (not every connection).
         budget = MemoryBudget(
             buffer_pool_gb=pool_gb,
             session_gb=session_bytes * conc.active_workers * 1.25 / GIB,
-            shared_gb=(full["key_buffer_size"] + full["query_cache_size"]
-                       + full["innodb_log_buffer_size"]
-                       + full["tmp_table_size"]) / GIB,
+            shared_gb=(col("key_buffer_size") + col("query_cache_size")
+                       + col("innodb_log_buffer_size")
+                       + col("tmp_table_size")) / GIB,
         )
-        pressure = memory_pressure(budget, hw.ram_gb)
-
-        io_cfg = IOConfig(
-            read_io_threads=int(full["innodb_read_io_threads"]),
-            write_io_threads=int(full["innodb_write_io_threads"]),
-            purge_threads=int(full["innodb_purge_threads"]),
-            io_capacity=full["innodb_io_capacity"],
-            io_capacity_max=full["innodb_io_capacity_max"],
-            flush_method=("O_DIRECT" if int(full["innodb_flush_method"]) == 2
-                          else "fdatasync"),
-            flush_neighbors=int(full["innodb_flush_neighbors"]),
-            max_dirty_pct=full["innodb_max_dirty_pages_pct"],
-            lru_scan_depth=full["innodb_lru_scan_depth"],
-            adaptive_flushing=bool(full["innodb_adaptive_flushing"]),
-        )
+        pressure = memory_pressure_model(ops, budget.total_gb, hw.ram_gb)
 
         # CPU cost tweaks from feature knobs.
-        cpu_us = wl.cpu_us_per_op
-        if bool(full["innodb_adaptive_hash_index"]):
-            cpu_us *= 1.0 - 0.06 * wl.read_frac * wl.point_frac
-            cpu_us *= 1.0 + 0.03 * wl.write_frac
-        if int(full["innodb_change_buffering"]) == 5:  # "all"
-            cpu_us *= 1.0 - 0.05 * wl.write_frac
-        qc_type = int(full["query_cache_type"])
-        if qc_type == 1 and full["query_cache_size"] > 0:
-            cpu_us *= 1.0 - 0.03 * wl.read_frac + 0.10 * wl.write_frac
+        cpu_us = ops.full(m, wl.cpu_us_per_op)
+        cpu_us = ops.where(
+            col("innodb_adaptive_hash_index") != 0,
+            cpu_us * (1.0 - 0.06 * wl.read_frac * wl.point_frac)
+            * (1.0 + 0.03 * wl.write_frac),
+            cpu_us)
+        cpu_us = ops.where(col("innodb_change_buffering") == 5,  # "all"
+                           cpu_us * (1.0 - 0.05 * wl.write_frac), cpu_us)
+        query_cache_on = (col("query_cache_type") == 1) & (
+            col("query_cache_size") > 0)
+        cpu_us = ops.where(
+            query_cache_on,
+            cpu_us * (1.0 - 0.03 * wl.read_frac + 0.10 * wl.write_frac),
+            cpu_us)
 
         # Sort/temp-table behaviour (OLAP-relevant).
         sort_need_bytes = wl.rows_per_op * 100.0 * 2.0
-        spill_frac = 0.0
+        spill_frac = ops.zeros(m)
         if wl.sort_frac > 0:
-            tmp_limit = min(full["tmp_table_size"], full["max_heap_table_size"])
-            if sort_need_bytes > max(full["sort_buffer_size"], 1.0):
-                spill_frac += 0.4
-            if sort_need_bytes > max(tmp_limit, 1.0):
-                spill_frac += 0.6
-            spill_frac = min(spill_frac, 1.0)
+            tmp_limit = ops.minimum(col("tmp_table_size"),
+                                    col("max_heap_table_size"))
+            spill_frac = ops.where(
+                sort_need_bytes > ops.maximum(col("sort_buffer_size"), 1.0),
+                spill_frac + 0.4, spill_frac)
+            spill_frac = ops.where(
+                sort_need_bytes > ops.maximum(tmp_limit, 1.0),
+                spill_frac + 0.6, spill_frac)
+            spill_frac = ops.minimum(spill_frac, 1.0)
 
         # Point lookups touch ~1 page per probed row (B-tree descent is
         # cached) but never more than a few pages per operation; scans
@@ -519,418 +556,30 @@ class SimulatedDatabase:
         read_ops = wl.ops_per_txn * wl.read_frac
         write_ops = wl.ops_per_txn * wl.write_frac
 
-        # Fixed point: throughput <-> flush/commit/queue pressure.
-        txn_rate = max(conc.active_workers, 1.0) * 20.0  # optimistic start
-        snapshot_inputs: Dict[str, float] = {}
-        for _ in range(6):
-            miss_rate = txn_rate * read_ops * pages_per_read_op * (1.0 - hit)
-            dirty_rate = txn_rate * write_ops * _DIRTY_PAGES_PER_WRITE_OP
-            log_out = evaluate_log(log_cfg, disk, txn_rate,
-                                   wl.log_bytes_per_txn,
-                                   concurrent_commits=conc.active_workers)
-            io_out = evaluate_io(io_cfg, disk, hw.cores, miss_rate,
-                                 dirty_rate * log_out.checkpoint_factor)
-
-            t_cpu_op = cpu_us / 1000.0 * conc.contention_factor * pressure
-            scan_share = wl.read_frac * wl.scan_frac
-            point_share = wl.read_frac * wl.point_frac
-            # Point misses pay random latency; scans stream at bandwidth.
-            seq_ms_per_page = 16.0 / 1024.0 / max(disk.bandwidth_mb_s, 1.0) * 1000.0
-            read_ahead_gain = 1.0
-            if scan_share > 0 and full["innodb_read_ahead_threshold"] <= 56:
-                read_ahead_gain = 0.85
-            t_read_op = (1.0 - hit) * pressure * (
-                point_share * point_pages
-                * io_out.read_miss_ms
-                + scan_share * (wl.rows_per_op / _ROWS_PER_PAGE)
-                * seq_ms_per_page * read_ahead_gain
-            )
-            t_write_op = wl.write_frac * pressure * np.sqrt(
-                conc.contention_factor) * (
-                0.03
-                + 0.25 * (io_out.write_stall_factor - 1.0)
-                + 0.20 * (log_out.checkpoint_factor - 1.0)
-            )
-            if not bool(full["innodb_doublewrite"]):
-                t_write_op *= 0.95
-            t_sort = wl.sort_frac * spill_frac * (
-                wl.rows_per_op * 100.0 * 2.0 / (disk.bandwidth_mb_s * 1e6) * 1000.0
-                + 2.0
-            )
-            t_lock = conc.lock_wait_frac * conc.avg_lock_wait_ms
-            log_wait_ms = (log_out.log_waits_per_sec / max(txn_rate, 1.0)) * 0.5
-
-            t_txn_ms = (
-                wl.ops_per_txn * (t_cpu_op + t_write_op)
-                + read_ops * 0.0  # read cost carried in t_read below
-                + t_read_op * wl.ops_per_txn
-                + t_sort + t_lock + log_wait_ms + log_out.commit_ms
-            )
-            worker_bound = conc.active_workers / max(t_txn_ms, 1e-3) * 1000.0
-
-            cpu_core_ms_per_txn = wl.ops_per_txn * t_cpu_op
-            cpu_bound = hw.cores * 0.85 / max(cpu_core_ms_per_txn, 1e-3) * 1000.0
-
-            if write_ops > 0:
-                # A tight dirty-page ceiling leaves no buffering headroom:
-                # pages must be flushed almost synchronously with the writes.
-                dirty_headroom = float(np.clip(
-                    full["innodb_max_dirty_pages_pct"] / 40.0, 0.25, 1.0))
-                write_bound = dirty_headroom * io_out.flush_capacity_pages / (
-                    write_ops * _DIRTY_PAGES_PER_WRITE_OP
-                    * log_out.checkpoint_factor
-                )
-            else:
-                write_bound = np.inf
-            read_iops_bound = np.inf
-            per_txn_misses = read_ops * pages_per_read_op * (1.0 - hit)
-            if per_txn_misses * wl.point_frac > 0.05:
-                # Reads and background flushing share the same disk: the
-                # flusher's IOPS come out of the read budget.
-                flush_iops_used = min(dirty_rate, io_out.flush_capacity_pages)
-                read_iops_avail = max(disk.iops * 0.85 - flush_iops_used,
-                                      disk.iops * 0.15)
-                read_iops_bound = read_iops_avail / (
-                    per_txn_misses * max(wl.point_frac, 0.05)
-                )
-
-            target = min(worker_bound, cpu_bound, write_bound, read_iops_bound)
-            txn_rate = 0.5 * txn_rate + 0.5 * max(target, 1.0)
-            snapshot_inputs = {
-                "t_txn_ms": t_txn_ms, "miss_rate": miss_rate,
-                "dirty_rate": dirty_rate,
-                "flush_pages": min(dirty_rate, io_out.flush_capacity_pages),
-                "log_waits": log_out.log_waits_per_sec,
-                "fsyncs": log_out.fsyncs_per_sec,
-                "stall": io_out.write_stall_factor,
-                "ckpt": log_out.checkpoint_factor,
-                "dirty_target": io_out.dirty_frac_target,
-                "purge_cap": io_out.purge_capacity,
-                "spill": spill_frac,
-            }
-
-        throughput = txn_rate * self._minor_knob_factor(full_db)
-        if snapshot_inputs["log_waits"] > 0:
-            wait_frac = snapshot_inputs["log_waits"] / max(txn_rate, 1.0)
-            throughput *= 1.0 / (1.0 + 0.5 * wait_frac)
-
-        # Purge lag: sustained writes beyond purge capacity trim throughput.
-        write_txn_rate = throughput * min(wl.write_frac * 2.0, 1.0)
-        history = 500.0
-        if write_ops > 0 and write_txn_rate > snapshot_inputs["purge_cap"]:
-            lag = write_txn_rate / max(snapshot_inputs["purge_cap"], 1.0)
-            throughput *= max(0.9, 1.0 - 0.03 * (lag - 1.0))
-            history = 500.0 + 5000.0 * (lag - 1.0)
-
-        # Little's law per-client latency over the *offered* load: refused
-        # connections queue and retry at the client, so capping
-        # max_connections cannot shortcut the latency metric.
-        mean_latency_ms = wl.threads / max(throughput, 1.0) * 1000.0
-        mean_latency_ms = max(mean_latency_ms, snapshot_inputs["t_txn_ms"])
-        p99 = mean_latency_ms * (
-            1.5
-            + 0.8 * conc.lock_wait_frac
-            + 0.15 * (snapshot_inputs["stall"] - 1.0)
-            + 0.10 * (snapshot_inputs["ckpt"] - 1.0)
-            + 0.3 * max(pressure - 1.0, 0.0)
-        )
-
-        tmp_rate = throughput * wl.ops_per_txn * wl.read_frac * wl.sort_frac
-        snapshot = EngineSnapshot(
-            interval_s=_STRESS_INTERVAL_S,
-            buffer_pool_bytes=full["innodb_buffer_pool_size"],
-            buffer_pool_used_frac=min(
-                0.97, wl.working_set_gb / max(pool_gb, 1e-3)),
-            dirty_frac=snapshot_inputs["dirty_target"] * min(
-                wl.write_frac * 2.0 + 0.05, 1.0),
-            hit_ratio=hit,
-            ops_per_sec=throughput * wl.ops_per_txn,
-            txn_per_sec=throughput,
-            read_frac=wl.read_frac,
-            point_frac=wl.point_frac,
-            scan_frac=wl.scan_frac,
-            insert_frac=wl.insert_frac,
-            log_bytes_per_txn=wl.log_bytes_per_txn,
-            log_waits_per_sec=snapshot_inputs["log_waits"],
-            fsyncs_per_sec=snapshot_inputs["fsyncs"],
-            flush_pages_per_sec=snapshot_inputs["flush_pages"],
-            read_ahead_per_sec=snapshot_inputs["miss_rate"]
-            * wl.scan_frac * 0.5,
-            lock_wait_frac=conc.lock_wait_frac,
-            avg_lock_wait_ms=conc.avg_lock_wait_ms,
-            history_list_length=history,
-            threads_running=min(conc.active_workers, conc.admitted_threads),
-            threads_connected=conc.admitted_threads,
-            thread_cache_size=full["thread_cache_size"],
-            open_tables=min(full["table_open_cache"], 64.0),
-            open_files=min(full["innodb_open_files"], 128.0),
-            tmp_tables_per_sec=tmp_rate,
-            tmp_disk_tables_frac=spill_frac,
-            rows_per_query=wl.rows_per_op,
-            wait_free_per_sec=max(
-                0.0, snapshot_inputs["dirty_rate"]
-                - snapshot_inputs["flush_pages"]) * 0.1,
-        )
-        return float(throughput), float(p99), snapshot
-
-    def _compute_many(self, rows: np.ndarray, trials: Sequence[int]) -> list:
-        """Vectorized stress tests over validated registry-order rows.
-
-        Returns ``[(status, payload), ...]`` aligned with ``rows`` —
-        ``("crash", message)`` for crash-region rows, ``("ok", observation)``
-        otherwise.  Counter and cache bookkeeping belong to the caller.
-        Every numpy op mirrors the scalar path (same ufuncs, same order, on
-        contiguous inputs), so each row is bitwise-identical to
-        :meth:`_evaluate_uncached` on the same config.
-        """
-        registry = self.registry
-        n_total = rows.shape[0]
-
-        # Crash region first (§5.2.3): exact ops, so strided views are fine.
-        if self._adapter_reverse is None:
-            log_file = rows[:, registry.index_of("innodb_log_file_size")]
-            log_files = rows[:, registry.index_of("innodb_log_files_in_group")]
-        else:
-            def _crash_column(name: str) -> np.ndarray:
-                source = self._adapter_reverse.get(name)
-                if source is None:
-                    return np.full(n_total, float(self._canonical_defaults[name]))
-                return rows[:, registry.index_of(source)]
-            log_file = _crash_column("innodb_log_file_size")
-            log_files = _crash_column("innodb_log_files_in_group")
-        crash_mask = crashes_disk_array(log_file, log_files,
-                                        self.hardware.disk_gb)
-        outcomes: list = [None] * n_total
-        if crash_mask.any():
-            for i in np.nonzero(crash_mask)[0]:
-                outcomes[int(i)] = ("crash", (
-                    "redo log group "
-                    f"({log_file[i] * log_files[i] / GIB:.1f} GB) "
-                    f"exceeds the disk capacity threshold "
-                    f"({self.hardware.disk_gb} GB disk)"))
-            ok_index = np.nonzero(~crash_mask)[0]
-            if len(ok_index) == 0:
-                return outcomes
-            rows_ok = rows[ok_index]  # fancy index → fresh contiguous array
-        else:
-            ok_index = np.arange(n_total)
-            rows_ok = np.ascontiguousarray(rows)
-        m = rows_ok.shape[0]
-
-        # Column accessors: contiguous per-knob value arrays in canonical
-        # (MySQL) name space, with adapter remapping and canonical defaults.
-        column_cache: Dict[str, np.ndarray] = {}
-        if self._adapter_reverse is None:
-            def col(name: str) -> np.ndarray:
-                column = column_cache.get(name)
-                if column is None:
-                    column = np.ascontiguousarray(
-                        rows_ok[:, registry.index_of(name)])
-                    column_cache[name] = column
-                return column
-        else:
-            reverse = self._adapter_reverse
-            canonical_defaults = self._canonical_defaults
-            def col(name: str) -> np.ndarray:
-                column = column_cache.get(name)
-                if column is None:
-                    source = reverse.get(name)
-                    if source is None:
-                        column = np.full(m, float(canonical_defaults[name]))
-                    else:
-                        column = np.ascontiguousarray(
-                            rows_ok[:, registry.index_of(source)])
-                    column_cache[name] = column
-                return column
-
-        def col_or(name: str, default: float) -> np.ndarray:
-            try:
-                return col(name)
-            except KeyError:
-                return np.full(m, default)
-
-        minor = self._minor_factor_rows(rows_ok)
-        throughput, p99, snapshot = self._solve_many(col, col_or, m, minor)
-
-        # Per-row finalize: jitter, clamps and snapshot extraction replay
-        # the scalar tail of _evaluate_uncached exactly.  Draws come from
-        # each config's own jitter stream (replayed on one reusable Philox
-        # generator); the noise arithmetic itself is exact elementwise ops,
-        # so applying it matrix-at-once keeps every row bitwise-identical.
-        # ascontiguousarray: tobytes() on a strided row would copy element
-        # by element; one bulk copy here yields the same bytes faster.
-        sorted_rows = np.ascontiguousarray(rows_ok[:, registry.sorted_indices])
-        raw_metrics = metrics_matrix(snapshot, m)
-        noise = self.noise
-        metric_noise = noise * 0.5
-        n_metrics = raw_metrics.shape[1]
-        perf_draws = np.zeros((m, 2))
-        metric_draws = (np.empty((m, n_metrics)) if metric_noise > 0.0
-                        else None)
-        if noise > 0:
-            bit_gen = np.random.Philox(key=0)
-            gen = np.random.Generator(bit_gen)
-            zeros4 = np.zeros(4, dtype=np.uint64)
-            state = {
-                "bit_generator": "Philox",
-                "state": {"counter": zeros4, "key": zeros4},
-                "buffer": zeros4, "buffer_pos": 4,
-                "has_uint32": 0, "uinteger": 0,
-            }
-            inner_state = state["state"]
-            digest_of = self._jitter_digest
-            normal = gen.standard_normal
-            ok_trials = [trials[int(i)] for i in ok_index]
-            for k in range(m):
-                digest = digest_of(ok_trials[k], sorted_rows[k])
-                inner_state["key"] = np.frombuffer(
-                    digest, dtype="<u8").astype(np.uint64, copy=False)
-                bit_gen.state = state
-                perf_draws[k, 0] = normal()
-                perf_draws[k, 1] = normal()
-                if metric_draws is not None:
-                    normal(out=metric_draws[k])
-            throughput = throughput * (1.0 + noise * perf_draws[:, 0])
-            p99 = p99 * (1.0 + noise * perf_draws[:, 1])
-        throughput = np.maximum(throughput, 1.0)
-        p99 = np.maximum(p99, 0.1)
-        if metric_draws is not None:
-            final_metrics = np.maximum(
-                raw_metrics * (1.0 + metric_noise * metric_draws), 0.0)
-        else:
-            final_metrics = np.maximum(raw_metrics, 0.0)
-
-        # tolist() converts each lane column to python floats in one C
-        # call, so row assembly is a zip instead of m*n float() casts.
-        field_columns = [
-            column.tolist() if isinstance(column, np.ndarray) else [column] * m
-            for column in (getattr(snapshot, field.name)
-                           for field in fields(EngineSnapshot))]
-        throughput_list = throughput.tolist()
-        p99_list = p99.tolist()
-        for k, snapshot_row in enumerate(zip(*field_columns)):
-            outcomes[int(ok_index[k])] = ("ok", DatabaseObservation(
-                performance=PerformanceSample(throughput=throughput_list[k],
-                                              latency=p99_list[k]),
-                metrics=final_metrics[k].copy(),
-                snapshot=EngineSnapshot(*snapshot_row),
-            ))
-        return outcomes
-
-    def _solve_many(self, col, col_or, m: int,
-                    minor_factor: np.ndarray,
-                    ) -> Tuple[np.ndarray, np.ndarray, EngineSnapshot]:
-        """Array mirror of :meth:`_solve`: one lane per non-crashing config.
-
-        ``col(name)``/``col_or(name, default)`` return contiguous per-config
-        value arrays in canonical knob space; ``minor_factor`` is the
-        precomputed long-tail factor per config.  Returns array throughput,
-        array p99 and an :class:`EngineSnapshot` whose fields hold arrays
-        (or workload scalars) — same formulas, same op order as the scalar
-        solver, hence bitwise-identical lanes.
-        """
-        hw = self.hardware
-        wl = self.workload
-        disk = hw.disk
-
-        conc = evaluate_concurrency_arrays(
-            col("max_connections"), col("innodb_thread_concurrency"),
-            col("thread_cache_size"), col("innodb_spin_wait_delay"),
-            col("innodb_sync_spin_loops"),
-            offered_threads=wl.threads, cores=hw.cores,
-            write_frac=wl.write_frac, skew=wl.skew,
-        )
-
-        pool_gb = col("innodb_buffer_pool_size") / GIB
-        hit = hit_ratio_array(pool_gb, wl.working_set_gb, wl.skew,
-                              instances=col("innodb_buffer_pool_instances"))
-
-        session_bytes = (
-            col("sort_buffer_size") + col("join_buffer_size")
-            + col("read_buffer_size") + col("read_rnd_buffer_size")
-            + col("binlog_cache_size") + col_or("thread_stack", 262144.0)
-        )
-        total_gb = (
-            pool_gb
-            + session_bytes * conc.active_workers * 1.25 / GIB
-            + (col("key_buffer_size") + col("query_cache_size")
-               + col("innodb_log_buffer_size") + col("tmp_table_size")) / GIB
-        )
-        pressure = memory_pressure_array(total_gb, hw.ram_gb)
-
-        log_file = col("innodb_log_file_size")
-        log_files = col("innodb_log_files_in_group")
-        log_buffer = col("innodb_log_buffer_size")
-        flush_at_commit = col("innodb_flush_log_at_trx_commit")
-        sync_binlog = col("sync_binlog")
-        o_direct = col("innodb_flush_method") == 2
-
-        # CPU cost tweaks from feature knobs.
-        cpu_us = np.full(m, wl.cpu_us_per_op)
-        adaptive_hash = col("innodb_adaptive_hash_index") != 0
-        cpu_us = np.where(
-            adaptive_hash,
-            cpu_us * (1.0 - 0.06 * wl.read_frac * wl.point_frac)
-            * (1.0 + 0.03 * wl.write_frac),
-            cpu_us)
-        cpu_us = np.where(col("innodb_change_buffering") == 5,  # "all"
-                          cpu_us * (1.0 - 0.05 * wl.write_frac), cpu_us)
-        query_cache_on = (col("query_cache_type") == 1) & (
-            col("query_cache_size") > 0)
-        cpu_us = np.where(
-            query_cache_on,
-            cpu_us * (1.0 - 0.03 * wl.read_frac + 0.10 * wl.write_frac),
-            cpu_us)
-
-        # Sort/temp-table behaviour (OLAP-relevant).
-        sort_need_bytes = wl.rows_per_op * 100.0 * 2.0
-        spill_frac = np.zeros(m)
-        if wl.sort_frac > 0:
-            tmp_limit = np.minimum(col("tmp_table_size"),
-                                   col("max_heap_table_size"))
-            spill_frac = np.where(
-                sort_need_bytes > np.maximum(col("sort_buffer_size"), 1.0),
-                spill_frac + 0.4, spill_frac)
-            spill_frac = np.where(
-                sort_need_bytes > np.maximum(tmp_limit, 1.0),
-                spill_frac + 0.6, spill_frac)
-            spill_frac = np.minimum(spill_frac, 1.0)
-
-        point_pages = min(wl.rows_per_op, 4.0) * _PAGES_PER_ROW_POINT
-        pages_per_read_op = (
-            wl.point_frac * point_pages
-            + wl.scan_frac * wl.rows_per_op / _ROWS_PER_PAGE
-        )
-
-        read_ops = wl.ops_per_txn * wl.read_frac
-        write_ops = wl.ops_per_txn * wl.write_frac
-
-        # Loop-invariant terms, hoisted out of the fixed point below.  Each
-        # is computed with the exact ops (and operand order) the scalar
-        # solver uses per iteration, so hoisting cannot change a single bit.
-        log_static = log_static_arrays(
-            log_file, log_files, flush_at_commit, sync_binlog, disk,
+        # Loop-invariant terms of the fixed point below.
+        log_fixed = log_static(
+            ops, col("innodb_log_file_size"), col("innodb_log_files_in_group"),
+            col("innodb_flush_log_at_trx_commit"), col("sync_binlog"), disk,
             wl.log_bytes_per_txn, conc.active_workers)
-        io_static = io_static_arrays(
-            col("innodb_io_capacity"), col("innodb_io_capacity_max"),
+        io_fixed = io_static(
+            ops, col("innodb_io_capacity"), col("innodb_io_capacity_max"),
             col("innodb_max_dirty_pages_pct"), col("innodb_lru_scan_depth"),
             disk)
+        log_buffer = col("innodb_log_buffer_size")
         read_threads = col("innodb_read_io_threads")
         write_threads = col("innodb_write_io_threads")
         purge_threads = col("innodb_purge_threads")
-        io_capacity = col("innodb_io_capacity")
-        io_capacity_max = col("innodb_io_capacity_max")
+        o_direct = col("innodb_flush_method") == 2
         flush_neighbors = col("innodb_flush_neighbors")
-        max_dirty_pct = col("innodb_max_dirty_pages_pct")
-        lru_scan_depth = col("innodb_lru_scan_depth")
         adaptive_flushing = col("innodb_adaptive_flushing") != 0
 
         t_cpu_op = cpu_us / 1000.0 * conc.contention_factor * pressure
         scan_share = wl.read_frac * wl.scan_frac
         point_share = wl.read_frac * wl.point_frac
+        # Point misses pay random latency; scans stream at bandwidth.
         seq_ms_per_page = 16.0 / 1024.0 / max(disk.bandwidth_mb_s, 1.0) * 1000.0
         if scan_share > 0:
-            read_ahead_gain = np.where(
+            read_ahead_gain = ops.where(
                 col("innodb_read_ahead_threshold") <= 56, 0.85, 1.0)
         else:
             read_ahead_gain = 1.0
@@ -947,32 +596,31 @@ class SimulatedDatabase:
         )
         t_lock = conc.lock_wait_frac * conc.avg_lock_wait_ms
         cpu_core_ms_per_txn = wl.ops_per_txn * t_cpu_op
-        cpu_bound = hw.cores * 0.85 / np.maximum(
+        cpu_bound = hw.cores * 0.85 / ops.maximum(
             cpu_core_ms_per_txn, 1e-3) * 1000.0
         if write_ops > 0:
-            dirty_headroom = np.clip(
+            # A tight dirty-page ceiling leaves no buffering headroom:
+            # pages must be flushed almost synchronously with the writes.
+            dirty_headroom = ops.clip(
                 col("innodb_max_dirty_pages_pct") / 40.0, 0.25, 1.0)
         per_txn_misses = read_ops * pages_per_read_op * (1.0 - hit)
+        # Reads and background flushing share the same disk: the
+        # flusher's IOPS come out of the read budget.
         iops_limited = per_txn_misses * wl.point_frac > 0.05
         misses_share = per_txn_misses * max(wl.point_frac, 0.05)
-        safe_misses_share = np.where(iops_limited, misses_share, 1.0)
+        safe_misses_share = ops.where(iops_limited, misses_share, 1.0)
 
         # Fixed point: throughput <-> flush/commit/queue pressure.
-        txn_rate = np.maximum(conc.active_workers, 1.0) * 20.0
+        txn_rate = ops.maximum(conc.active_workers, 1.0) * 20.0
         for _ in range(6):
             miss_rate = txn_rate * read_ops * pages_per_read_op * (1.0 - hit)
             dirty_rate = txn_rate * write_ops * _DIRTY_PAGES_PER_WRITE_OP
-            log_out = evaluate_log_arrays(
-                log_file, log_files, log_buffer, flush_at_commit, sync_binlog,
-                disk, txn_rate, wl.log_bytes_per_txn,
-                concurrent_commits=conc.active_workers, static=log_static)
-            io_out = evaluate_io_arrays(
-                read_threads, write_threads, purge_threads,
-                io_capacity, io_capacity_max, o_direct,
-                flush_neighbors, max_dirty_pct, lru_scan_depth,
-                adaptive_flushing,
-                disk, hw.cores, miss_rate,
-                dirty_rate * log_out.checkpoint_factor, static=io_static)
+            log_out = log_model(ops, log_buffer, txn_rate,
+                                wl.log_bytes_per_txn, log_fixed)
+            io_out = io_model(
+                ops, read_threads, write_threads, purge_threads, o_direct,
+                flush_neighbors, adaptive_flushing, disk, hw.cores,
+                miss_rate, dirty_rate * log_out.checkpoint_factor, io_fixed)
 
             t_read_op = read_factor * (
                 point_ms_scale * io_out.read_miss_ms + scan_term)
@@ -981,18 +629,18 @@ class SimulatedDatabase:
                 + 0.25 * (io_out.write_stall_factor - 1.0)
                 + 0.20 * (log_out.checkpoint_factor - 1.0)
             )
-            t_write_op = np.where(no_doublewrite,
-                                  t_write_op * 0.95, t_write_op)
+            t_write_op = ops.where(no_doublewrite,
+                                   t_write_op * 0.95, t_write_op)
             log_wait_ms = (log_out.log_waits_per_sec
-                           / np.maximum(txn_rate, 1.0)) * 0.5
+                           / ops.maximum(txn_rate, 1.0)) * 0.5
 
             t_txn_ms = (
                 wl.ops_per_txn * (t_cpu_op + t_write_op)
-                + read_ops * 0.0
                 + t_read_op * wl.ops_per_txn
                 + t_sort + t_lock + log_wait_ms + log_out.commit_ms
             )
-            worker_bound = conc.active_workers / np.maximum(t_txn_ms, 1e-3) * 1000.0
+            worker_bound = conc.active_workers / ops.maximum(
+                t_txn_ms, 1e-3) * 1000.0
 
             if write_ops > 0:
                 write_bound = dirty_headroom * io_out.flush_capacity_pages / (
@@ -1001,69 +649,57 @@ class SimulatedDatabase:
                 )
             else:
                 write_bound = np.inf
-            flush_iops_used = np.minimum(dirty_rate,
-                                         io_out.flush_capacity_pages)
-            read_iops_avail = np.maximum(disk.iops * 0.85 - flush_iops_used,
-                                         disk.iops * 0.15)
-            read_iops_bound = np.where(
+            flush_pages = ops.minimum(dirty_rate, io_out.flush_capacity_pages)
+            read_iops_avail = ops.maximum(disk.iops * 0.85 - flush_pages,
+                                          disk.iops * 0.15)
+            read_iops_bound = ops.where(
                 iops_limited, read_iops_avail / safe_misses_share, np.inf)
 
-            target = np.minimum(
-                np.minimum(np.minimum(worker_bound, cpu_bound), write_bound),
+            target = ops.minimum(
+                ops.minimum(ops.minimum(worker_bound, cpu_bound), write_bound),
                 read_iops_bound)
-            txn_rate = 0.5 * txn_rate + 0.5 * np.maximum(target, 1.0)
-
-        snapshot_inputs: Dict[str, np.ndarray] = {
-            "t_txn_ms": t_txn_ms, "miss_rate": miss_rate,
-            "dirty_rate": dirty_rate,
-            "flush_pages": flush_iops_used,
-            "log_waits": log_out.log_waits_per_sec,
-            "fsyncs": log_out.fsyncs_per_sec,
-            "stall": io_out.write_stall_factor,
-            "ckpt": log_out.checkpoint_factor,
-            "dirty_target": io_out.dirty_frac_target,
-            "purge_cap": io_out.purge_capacity,
-            "spill": spill_frac,
-        }
+            txn_rate = 0.5 * txn_rate + 0.5 * ops.maximum(target, 1.0)
 
         throughput = txn_rate * minor_factor
-        log_waits = snapshot_inputs["log_waits"]
-        wait_frac = log_waits / np.maximum(txn_rate, 1.0)
-        throughput = np.where(log_waits > 0,
-                              throughput * (1.0 / (1.0 + 0.5 * wait_frac)),
-                              throughput)
+        log_waits = log_out.log_waits_per_sec
+        wait_frac = log_waits / ops.maximum(txn_rate, 1.0)
+        throughput = ops.where(log_waits > 0,
+                               throughput * (1.0 / (1.0 + 0.5 * wait_frac)),
+                               throughput)
 
         # Purge lag: sustained writes beyond purge capacity trim throughput.
         write_txn_rate = throughput * min(wl.write_frac * 2.0, 1.0)
-        history = np.full(m, 500.0)
+        history = ops.full(m, 500.0)
         if write_ops > 0:
-            purge_cap = snapshot_inputs["purge_cap"]
+            purge_cap = io_out.purge_capacity
             lagging = write_txn_rate > purge_cap
-            lag = write_txn_rate / np.maximum(purge_cap, 1.0)
-            throughput = np.where(
+            lag = write_txn_rate / ops.maximum(purge_cap, 1.0)
+            throughput = ops.where(
                 lagging,
-                throughput * np.maximum(0.9, 1.0 - 0.03 * (lag - 1.0)),
+                throughput * ops.maximum(0.9, 1.0 - 0.03 * (lag - 1.0)),
                 throughput)
-            history = np.where(lagging, 500.0 + 5000.0 * (lag - 1.0), history)
+            history = ops.where(lagging, 500.0 + 5000.0 * (lag - 1.0), history)
 
-        mean_latency_ms = wl.threads / np.maximum(throughput, 1.0) * 1000.0
-        mean_latency_ms = np.maximum(mean_latency_ms,
-                                     snapshot_inputs["t_txn_ms"])
+        # Little's law per-client latency over the *offered* load: refused
+        # connections queue and retry at the client, so capping
+        # max_connections cannot shortcut the latency metric.
+        mean_latency_ms = wl.threads / ops.maximum(throughput, 1.0) * 1000.0
+        mean_latency_ms = ops.maximum(mean_latency_ms, t_txn_ms)
         p99 = mean_latency_ms * (
             1.5
             + 0.8 * conc.lock_wait_frac
-            + 0.15 * (snapshot_inputs["stall"] - 1.0)
-            + 0.10 * (snapshot_inputs["ckpt"] - 1.0)
-            + 0.3 * np.maximum(pressure - 1.0, 0.0)
+            + 0.15 * (io_out.write_stall_factor - 1.0)
+            + 0.10 * (log_out.checkpoint_factor - 1.0)
+            + 0.3 * ops.maximum(pressure - 1.0, 0.0)
         )
 
         tmp_rate = throughput * wl.ops_per_txn * wl.read_frac * wl.sort_frac
         snapshot = EngineSnapshot(
             interval_s=_STRESS_INTERVAL_S,
             buffer_pool_bytes=col("innodb_buffer_pool_size"),
-            buffer_pool_used_frac=np.minimum(
-                0.97, wl.working_set_gb / np.maximum(pool_gb, 1e-3)),
-            dirty_frac=snapshot_inputs["dirty_target"] * min(
+            buffer_pool_used_frac=ops.minimum(
+                0.97, wl.working_set_gb / ops.maximum(pool_gb, 1e-3)),
+            dirty_frac=io_out.dirty_frac_target * min(
                 wl.write_frac * 2.0 + 0.05, 1.0),
             hit_ratio=hit,
             ops_per_sec=throughput * wl.ops_per_txn,
@@ -1073,26 +709,24 @@ class SimulatedDatabase:
             scan_frac=wl.scan_frac,
             insert_frac=wl.insert_frac,
             log_bytes_per_txn=wl.log_bytes_per_txn,
-            log_waits_per_sec=snapshot_inputs["log_waits"],
-            fsyncs_per_sec=snapshot_inputs["fsyncs"],
-            flush_pages_per_sec=snapshot_inputs["flush_pages"],
-            read_ahead_per_sec=snapshot_inputs["miss_rate"]
-            * wl.scan_frac * 0.5,
+            log_waits_per_sec=log_waits,
+            fsyncs_per_sec=log_out.fsyncs_per_sec,
+            flush_pages_per_sec=flush_pages,
+            read_ahead_per_sec=miss_rate * wl.scan_frac * 0.5,
             lock_wait_frac=conc.lock_wait_frac,
             avg_lock_wait_ms=conc.avg_lock_wait_ms,
             history_list_length=history,
-            threads_running=np.minimum(conc.active_workers,
-                                       conc.admitted_threads),
+            threads_running=ops.minimum(conc.active_workers,
+                                        conc.admitted_threads),
             threads_connected=conc.admitted_threads,
             thread_cache_size=col("thread_cache_size"),
-            open_tables=np.minimum(col("table_open_cache"), 64.0),
-            open_files=np.minimum(col("innodb_open_files"), 128.0),
+            open_tables=ops.minimum(col("table_open_cache"), 64.0),
+            open_files=ops.minimum(col("innodb_open_files"), 128.0),
             tmp_tables_per_sec=tmp_rate,
             tmp_disk_tables_frac=spill_frac,
             rows_per_query=wl.rows_per_op,
-            wait_free_per_sec=np.maximum(
-                0.0, snapshot_inputs["dirty_rate"]
-                - snapshot_inputs["flush_pages"]) * 0.1,
+            wait_free_per_sec=ops.maximum(
+                0.0, dirty_rate - flush_pages) * 0.1,
         )
         return throughput, p99, snapshot
 
@@ -1127,11 +761,20 @@ class SimulatedDatabase:
             array.flags.writeable = False
         return (names,) + arrays
 
-    def _minor_factor_values(self, values: np.ndarray) -> np.ndarray:
-        """Shared core over an ``(M, n_minor)`` value matrix → ``(M,)``."""
+    def _minor_factor_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Aggregate multiplicative effect of the non-major tunable knobs.
+
+        Each minor knob has a name-hash-determined amplitude (0.05–0.3 %)
+        and optimal position; the effect is a smooth bump peaking there.
+        The *sum* over ~215 knobs gives the long-tail gains of Figure 8.
+        One factor per registry-order row.
+        """
         (_names, amps, opts, lows, highs, is_log,
-         log_lows, log_highs, _idx) = self._minor_tables()
-        values = np.clip(values, lows, highs)
+         log_lows, log_highs, idx) = self._minor_tables()
+        # rows[:, idx] comes back F-ordered (advanced indexing on axis 1);
+        # strided reductions pick a different pairwise blocking, so force
+        # C order to keep each row's sum independent of the batch layout.
+        values = np.clip(np.ascontiguousarray(rows[:, idx]), lows, highs)
         span = highs - lows
         lin_u = np.where(span > 0, (values - lows) / np.where(span > 0, span, 1.0),
                          0.0)
@@ -1143,27 +786,7 @@ class SimulatedDatabase:
                 / np.where(log_span > 0, log_span, 1.0),
                 0.0)
         u = np.where(is_log, log_u, lin_u)
-        # Peak +amp at u = opt, falling to -amp at distance ~0.7.  Explicit
-        # square (not **2) so scalar and batch rows share last-ulp behaviour.
+        # Peak +amp at u = opt, falling to -amp at distance ~0.7.
         t = (u - opts) / 0.7
         log_factor = np.sum(amps * (1.0 - 2.0 * (t * t)), axis=-1)
         return np.exp(np.clip(log_factor, -1.0, 1.0))
-
-    def _minor_knob_factor(self, full: Mapping[str, float]) -> float:
-        """Aggregate multiplicative effect of the non-major tunable knobs.
-
-        Each minor knob has a name-hash-determined amplitude (0.05–0.3 %)
-        and optimal position; the effect is a smooth bump peaking there.
-        The *sum* over ~215 knobs gives the long-tail gains of Figure 8.
-        """
-        names = self._minor_tables()[0]
-        values = np.array([full[name] for name in names])
-        return float(self._minor_factor_values(values[None, :])[0])
-
-    def _minor_factor_rows(self, rows: np.ndarray) -> np.ndarray:
-        """:meth:`_minor_knob_factor` for a matrix of registry-order rows."""
-        idx = self._minor_tables()[8]
-        # rows[:, idx] comes back F-ordered (advanced indexing on axis 1);
-        # strided reductions pick a different pairwise blocking, so force
-        # C order to keep each lane's sum bitwise equal to the scalar path.
-        return self._minor_factor_values(np.ascontiguousarray(rows[:, idx]))

@@ -5,6 +5,12 @@ Captures the knob semantics the paper calls out in §5.2.3:
 ``innodb_write_io_threads`` and ``innodb_purge_threads`` should grow under
 write-heavy loads — with over-provisioning penalized (context-switch and
 coordination overhead), which keeps the response surface non-monotone.
+
+The model functions take the number namespace ``ops`` first and run for
+one config on Python floats or for a batch on numpy arrays
+(:mod:`repro.dbsim.numeric`); ``evaluate_io`` and
+``thread_pool_efficiency`` check their arguments and run the model for
+one config.
 """
 
 from __future__ import annotations
@@ -14,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hardware import DiskMedium
+from .numeric import FLOATS
 
-__all__ = ["IOConfig", "IOOutcome", "evaluate_io", "thread_pool_efficiency",
-           "IOArrays", "IOStatic", "io_static_arrays", "evaluate_io_arrays",
-           "thread_pool_efficiency_array"]
+__all__ = ["IOConfig", "IOOutcome", "IOStatic", "evaluate_io", "io_model",
+           "io_static", "thread_pool_efficiency", "thread_pool_model"]
 
 
 @dataclass(frozen=True)
@@ -38,13 +44,39 @@ class IOConfig:
 
 @dataclass(frozen=True)
 class IOOutcome:
-    """Derived I/O behaviour."""
+    """Derived I/O behaviour.
+
+    Each field holds one value per config: a float for one config, an
+    array over a batch (see :mod:`repro.dbsim.numeric`).
+    """
 
     read_miss_ms: float          # effective latency of one buffer pool miss
     flush_capacity_pages: float  # background flush bandwidth, pages/s
     write_stall_factor: float    # >= 1, applied when dirty rate > capacity
     purge_capacity: float        # undo purge bandwidth, txn/s
     dirty_frac_target: float     # steady-state dirty page fraction
+
+
+@dataclass(frozen=True)
+class IOStatic:
+    """Rate-independent intermediates of :func:`io_model`.
+
+    They depend only on knob values and disk constants, not on the miss or
+    dirty-page rates, so a fixed-point solver computes them once.
+    """
+
+    io_budget: float
+    depth_factor: float    # LRU-scan-depth multiplier, already clipped
+    safe_headroom: float   # max(max_dirty_pct / 75, 0.2)
+    dirty_frac_target: float
+
+
+def thread_pool_model(ops, threads, demand, cores: int):
+    """Useful parallelism of a thread pool per config (``demand`` > 0)."""
+    useful = ops.minimum(threads, demand) / demand
+    oversub = ops.maximum(0.0, threads - ops.maximum(demand, cores)) / max(
+        cores, 1)
+    return useful * (1.0 / (1.0 + 0.9 * oversub))
 
 
 def thread_pool_efficiency(threads: int, demand: float, cores: int) -> float:
@@ -57,17 +89,92 @@ def thread_pool_efficiency(threads: int, demand: float, cores: int) -> float:
         raise ValueError("threads must be >= 1")
     if demand <= 0:
         return 1.0
-    useful = min(threads, demand) / demand
-    oversub = max(0.0, threads - max(demand, cores)) / max(cores, 1)
-    return float(useful * (1.0 / (1.0 + 0.9 * oversub)))
+    return float(thread_pool_model(FLOATS, threads, demand, cores))
 
 
-def thread_pool_efficiency_array(threads, demand, cores: int) -> np.ndarray:
-    """Vectorized :func:`thread_pool_efficiency` (``threads``/``demand``
-    arrays, ``demand`` entries assumed positive as in the engine's use)."""
-    useful = np.minimum(threads, demand) / demand
-    oversub = np.maximum(0.0, threads - np.maximum(demand, cores)) / max(cores, 1)
-    return useful * (1.0 / (1.0 + 0.9 * oversub))
+def io_static(ops, io_capacity, io_capacity_max, max_dirty_pct,
+              lru_scan_depth, disk: DiskMedium) -> IOStatic:
+    """The rate-independent part of the I/O model, per config."""
+    # Sustained flushing tracks io_capacity (bursting under pressure toward
+    # io_capacity_max); a weighted geometric blend makes the budget
+    # climbable one knob at a time while still rewarding setting the pair
+    # coherently.
+    io_budget = ops.minimum(
+        np.power(ops.maximum(io_capacity, 1.0) * 2.0, 0.65)
+        * np.power(ops.maximum(io_capacity_max, 1.0), 0.35),
+        disk.iops * 0.8)
+    # LRU scan depth: too shallow starves free pages, too deep burns CPU.
+    depth_ratio = lru_scan_depth / 1024.0
+    depth_factor = ops.clip(
+        0.9 + 0.1 * np.log2(ops.maximum(depth_ratio, 0.1) + 1.0), 0.85, 1.1)
+    # A loose max_dirty_pct postpones the write stall but deepens it.
+    safe_headroom = ops.maximum(max_dirty_pct / 75.0, 0.2)
+    dirty_frac_target = ops.clip(max_dirty_pct / 100.0 * 0.6, 0.02, 0.7)
+    return IOStatic(io_budget=io_budget, depth_factor=depth_factor,
+                    safe_headroom=safe_headroom,
+                    dirty_frac_target=dirty_frac_target)
+
+
+def io_model(ops, read_io_threads, write_io_threads, purge_threads,
+             o_direct, flush_neighbors, adaptive_flushing,
+             disk: DiskMedium, cores: int, miss_rate_per_sec,
+             dirty_pages_per_sec, static: IOStatic) -> IOOutcome:
+    """One interval of I/O behaviour per config.
+
+    ``ops`` is numpy or :data:`~repro.dbsim.numeric.FLOATS`; ``o_direct``
+    and ``adaptive_flushing`` are booleans, the other knob inputs
+    validated values and the rates per-config values.  ``static`` comes
+    from :func:`io_static`.  :func:`evaluate_io` is the checked entry
+    point for one config.
+    """
+    # -- reads: misses are served by the read thread pool against disk IOPS.
+    read_demand = ops.maximum(miss_rate_per_sec / 400.0, 1.0)
+    read_eff = thread_pool_model(ops, read_io_threads, read_demand, cores)
+    parallelism = ops.maximum(
+        1.0, ops.minimum(read_io_threads, read_demand) * read_eff)
+    queue = ops.maximum(0.0, miss_rate_per_sec / max(disk.iops, 1.0) - 0.6)
+    read_miss_ms = disk.read_latency_ms * (1.0 / np.power(parallelism, 0.35)) * (
+        1.0 + 4.0 * (queue * queue)
+    )
+    # No OS page cache to soften misses.
+    read_miss_ms = ops.where(o_direct, read_miss_ms * 1.02, read_miss_ms)
+
+    # -- writes: background flushing budget.
+    write_demand = ops.maximum(dirty_pages_per_sec / 800.0, 1.0)
+    write_eff = thread_pool_model(ops, write_io_threads, write_demand, cores)
+    flush_capacity = static.io_budget * write_eff
+    if disk.name != "hdd":  # neighbor flushing wastes IOPS on SSD
+        flush_capacity = ops.where(flush_neighbors != 0,
+                                   flush_capacity * 0.96, flush_capacity)
+    else:  # HDD wants sequentialized neighbor flushes
+        flush_capacity = ops.where(flush_neighbors == 0,
+                                   flush_capacity * 0.85, flush_capacity)
+    # O_DIRECT skips double buffering.
+    flush_capacity = ops.where(o_direct, flush_capacity * 1.08,
+                               flush_capacity)
+    flush_capacity = ops.where(adaptive_flushing, flush_capacity * 1.05,
+                               flush_capacity)
+    flush_capacity = flush_capacity * static.depth_factor
+
+    # Stall factor when dirty generation outruns flushing.
+    overload = dirty_pages_per_sec / ops.where(flush_capacity > 0,
+                                               flush_capacity, 1.0) - 1.0
+    stall = ops.where(
+        (dirty_pages_per_sec > flush_capacity) & (flush_capacity > 0),
+        1.0 + 2.0 * overload / static.safe_headroom, 1.0)
+
+    purge_eff = thread_pool_model(
+        ops, purge_threads, ops.maximum(dirty_pages_per_sec / 1500.0, 0.5),
+        cores)
+    purge_capacity = 3000.0 * purge_threads * purge_eff
+
+    return IOOutcome(
+        read_miss_ms=read_miss_ms,
+        flush_capacity_pages=flush_capacity,
+        write_stall_factor=stall,
+        purge_capacity=purge_capacity,
+        dirty_frac_target=static.dirty_frac_target,
+    )
 
 
 def evaluate_io(config: IOConfig, disk: DiskMedium, cores: int,
@@ -75,178 +182,12 @@ def evaluate_io(config: IOConfig, disk: DiskMedium, cores: int,
     """Model one interval of I/O behaviour."""
     if miss_rate_per_sec < 0 or dirty_pages_per_sec < 0:
         raise ValueError("rates must be non-negative")
-
-    # -- reads: misses are served by the read thread pool against disk IOPS.
-    read_demand = max(miss_rate_per_sec / 400.0, 1.0)  # threads worth of work
-    read_eff = thread_pool_efficiency(config.read_io_threads, read_demand, cores)
-    parallelism = max(1.0, min(config.read_io_threads, read_demand) * read_eff)
-    queue = max(0.0, miss_rate_per_sec / max(disk.iops, 1.0) - 0.6)
-    # np.power (not Python's **) so the scalar path shares the last-ulp
-    # behaviour of the vectorized path in evaluate_io_arrays.
-    read_miss_ms = disk.read_latency_ms * (1.0 / np.power(parallelism, 0.35)) * (
-        1.0 + 4.0 * (queue * queue)
-    )
-    if config.flush_method == "O_DIRECT":
-        read_miss_ms *= 1.02  # no OS page cache to soften misses
-
-    # -- writes: background flushing budget.  Sustained flushing tracks
-    # io_capacity (bursting under pressure toward io_capacity_max); a
-    # weighted geometric blend makes the budget climbable one knob at a
-    # time while still rewarding setting the pair coherently.
-    io_budget = min(
-        float(np.power(max(config.io_capacity, 1.0) * 2.0, 0.65)
-              * np.power(max(config.io_capacity_max, 1.0), 0.35)),
-        disk.iops * 0.8)
-    write_demand = max(dirty_pages_per_sec / 800.0, 1.0)
-    write_eff = thread_pool_efficiency(config.write_io_threads, write_demand, cores)
-    flush_capacity = io_budget * write_eff
-    if config.flush_neighbors and disk.name != "hdd":
-        flush_capacity *= 0.96  # neighbor flushing wastes IOPS on SSD
-    elif not config.flush_neighbors and disk.name == "hdd":
-        flush_capacity *= 0.85  # HDD wants sequentialized neighbor flushes
-    if config.flush_method == "O_DIRECT":
-        flush_capacity *= 1.08  # skip double buffering
-    if config.adaptive_flushing:
-        flush_capacity *= 1.05
-
-    # LRU scan depth: too shallow starves free pages, too deep burns CPU.
-    depth_ratio = config.lru_scan_depth / 1024.0
-    flush_capacity *= float(np.clip(0.9 + 0.1 * np.log2(max(depth_ratio, 0.1) + 1.0),
-                                    0.85, 1.1))
-
-    # Stall factor when dirty generation outruns flushing; a loose
-    # max_dirty_pct postpones the stall but deepens it.
-    stall = 1.0
-    if dirty_pages_per_sec > flush_capacity > 0:
-        overload = dirty_pages_per_sec / flush_capacity - 1.0
-        headroom = config.max_dirty_pct / 75.0
-        stall = 1.0 + 2.0 * overload / max(headroom, 0.2)
-
-    purge_eff = thread_pool_efficiency(config.purge_threads,
-                                       max(dirty_pages_per_sec / 1500.0, 0.5),
-                                       cores)
-    purge_capacity = 3000.0 * config.purge_threads * purge_eff
-
-    dirty_target = float(np.clip(config.max_dirty_pct / 100.0 * 0.6, 0.02, 0.7))
-
-    return IOOutcome(
-        read_miss_ms=float(read_miss_ms),
-        flush_capacity_pages=float(flush_capacity),
-        write_stall_factor=float(stall),
-        purge_capacity=float(purge_capacity),
-        dirty_frac_target=dirty_target,
-    )
-
-
-@dataclass(frozen=True)
-class IOArrays:
-    """:class:`IOOutcome` with one array entry per config."""
-
-    read_miss_ms: np.ndarray
-    flush_capacity_pages: np.ndarray
-    write_stall_factor: np.ndarray
-    purge_capacity: np.ndarray
-    dirty_frac_target: np.ndarray
-
-
-@dataclass(frozen=True)
-class IOStatic:
-    """Rate-independent intermediates of :func:`evaluate_io_arrays`.
-
-    Depends only on knob values and disk/CPU constants — not on the miss
-    or dirty-page rates — so a fixed-point solver can compute it once per
-    batch.  Produced by the exact same ops the inline path runs, keeping
-    results bitwise-identical.
-    """
-
-    io_budget: np.ndarray
-    depth_factor: np.ndarray    # LRU-scan-depth multiplier, already clipped
-    safe_headroom: np.ndarray   # max(max_dirty_pct / 75, 0.2)
-    dirty_frac_target: np.ndarray
-
-
-def io_static_arrays(io_capacity, io_capacity_max, max_dirty_pct,
-                     lru_scan_depth, disk: DiskMedium) -> IOStatic:
-    """Precompute the rate-independent parts of the I/O model."""
-    io_budget = np.minimum(
-        np.power(np.maximum(io_capacity, 1.0) * 2.0, 0.65)
-        * np.power(np.maximum(io_capacity_max, 1.0), 0.35),
-        disk.iops * 0.8)
-    depth_ratio = lru_scan_depth / 1024.0
-    depth_factor = np.clip(
-        0.9 + 0.1 * np.log2(np.maximum(depth_ratio, 0.1) + 1.0), 0.85, 1.1)
-    safe_headroom = np.maximum(max_dirty_pct / 75.0, 0.2)
-    dirty_frac_target = np.clip(max_dirty_pct / 100.0 * 0.6, 0.02, 0.7)
-    return IOStatic(io_budget=io_budget, depth_factor=depth_factor,
-                    safe_headroom=safe_headroom,
-                    dirty_frac_target=dirty_frac_target)
-
-
-def evaluate_io_arrays(read_io_threads, write_io_threads, purge_threads,
-                       io_capacity, io_capacity_max, o_direct,
-                       flush_neighbors, max_dirty_pct, lru_scan_depth,
-                       adaptive_flushing, disk: DiskMedium, cores: int,
-                       miss_rate_per_sec, dirty_pages_per_sec,
-                       static: IOStatic | None = None) -> IOArrays:
-    """Vectorized :func:`evaluate_io` over per-config knob/rate arrays.
-
-    Mirrors the scalar path op for op (same ufuncs, same order) so results
-    are bitwise-identical; ``o_direct`` and ``adaptive_flushing`` are
-    boolean arrays, the rest validated knob values or per-config rates.
-    Pass ``static`` (from :func:`io_static_arrays`) to skip recomputing
-    rate-independent terms inside a fixed-point loop.
-    """
-    if static is None:
-        static = io_static_arrays(io_capacity, io_capacity_max,
-                                  max_dirty_pct, lru_scan_depth, disk)
-
-    # -- reads: misses are served by the read thread pool against disk IOPS.
-    read_demand = np.maximum(miss_rate_per_sec / 400.0, 1.0)
-    read_eff = thread_pool_efficiency_array(read_io_threads, read_demand, cores)
-    parallelism = np.maximum(
-        1.0, np.minimum(read_io_threads, read_demand) * read_eff)
-    queue = np.maximum(0.0, miss_rate_per_sec / max(disk.iops, 1.0) - 0.6)
-    read_miss_ms = disk.read_latency_ms * (1.0 / np.power(parallelism, 0.35)) * (
-        1.0 + 4.0 * (queue * queue)
-    )
-    read_miss_ms = np.where(o_direct, read_miss_ms * 1.02, read_miss_ms)
-
-    # -- writes: background flushing budget (see evaluate_io).
-    io_budget = static.io_budget
-    write_demand = np.maximum(dirty_pages_per_sec / 800.0, 1.0)
-    write_eff = thread_pool_efficiency_array(write_io_threads, write_demand,
-                                             cores)
-    flush_capacity = io_budget * write_eff
-    if disk.name != "hdd":
-        flush_capacity = np.where(flush_neighbors != 0,
-                                  flush_capacity * 0.96, flush_capacity)
-    else:
-        flush_capacity = np.where(flush_neighbors == 0,
-                                  flush_capacity * 0.85, flush_capacity)
-    flush_capacity = np.where(o_direct, flush_capacity * 1.08, flush_capacity)
-    flush_capacity = np.where(adaptive_flushing, flush_capacity * 1.05,
-                              flush_capacity)
-
-    # LRU scan depth: too shallow starves free pages, too deep burns CPU.
-    flush_capacity = flush_capacity * static.depth_factor
-
-    # Stall factor when dirty generation outruns flushing.
-    overload = dirty_pages_per_sec / np.where(flush_capacity > 0,
-                                              flush_capacity, 1.0) - 1.0
-    stall = np.where(
-        (dirty_pages_per_sec > flush_capacity) & (flush_capacity > 0),
-        1.0 + 2.0 * overload / static.safe_headroom, 1.0)
-
-    purge_eff = thread_pool_efficiency_array(
-        purge_threads, np.maximum(dirty_pages_per_sec / 1500.0, 0.5), cores)
-    purge_capacity = 3000.0 * purge_threads * purge_eff
-
-    dirty_target = static.dirty_frac_target
-
-    return IOArrays(
-        read_miss_ms=read_miss_ms,
-        flush_capacity_pages=flush_capacity,
-        write_stall_factor=stall,
-        purge_capacity=purge_capacity,
-        dirty_frac_target=dirty_target,
-    )
+    if min(config.read_io_threads, config.write_io_threads,
+           config.purge_threads) < 1:
+        raise ValueError("threads must be >= 1")
+    static = io_static(FLOATS, config.io_capacity, config.io_capacity_max,
+                       config.max_dirty_pct, config.lru_scan_depth, disk)
+    return io_model(FLOATS, config.read_io_threads, config.write_io_threads,
+                    config.purge_threads, config.flush_method == "O_DIRECT",
+                    config.flush_neighbors, config.adaptive_flushing, disk,
+                    cores, miss_rate_per_sec, dirty_pages_per_sec, static)

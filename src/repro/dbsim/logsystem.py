@@ -12,6 +12,11 @@ Three paper-visible mechanisms live here:
 * **The crash rule** — §5.2.3: if the redo log group exceeds the disk
   capacity threshold the instance crashes; CDBTune learns to avoid the
   region via a −100 reward rather than a hard constraint.
+
+The model functions take the number namespace ``ops`` first and run for
+one config on Python floats or for a batch on numpy arrays
+(:mod:`repro.dbsim.numeric`); ``evaluate_log`` checks its arguments and
+runs the model for one config.
 """
 
 from __future__ import annotations
@@ -21,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hardware import DiskMedium
+from .numeric import FLOATS
 
-__all__ = ["LogConfig", "LogOutcome", "evaluate_log", "log_group_bytes",
-           "crashes_disk", "crashes_disk_array", "LogArrays", "LogStatic",
-           "log_static_arrays", "evaluate_log_arrays"]
+__all__ = ["LogConfig", "LogOutcome", "LogStatic", "evaluate_log",
+           "crashes_disk", "crashes_disk_values",
+           "log_model", "log_static"]
 
 # Fraction of disk the redo group may occupy before data has nowhere to grow
 # (the paper's "threshold"; data + binlogs need the rest of the disk).
@@ -44,7 +50,11 @@ class LogConfig:
 
 @dataclass(frozen=True)
 class LogOutcome:
-    """Derived log behaviour for one stress-test interval."""
+    """Derived log behaviour for one stress-test interval.
+
+    Each field holds one value per config: a float for one config, an
+    array over a batch (see :mod:`repro.dbsim.numeric`).
+    """
 
     commit_ms: float            # per-transaction durability cost
     checkpoint_factor: float    # >= 1, multiplies page-write cost
@@ -53,205 +63,123 @@ class LogOutcome:
     redo_bytes_per_sec: float
 
 
-def log_group_bytes(config: LogConfig) -> float:
-    return config.log_file_bytes * config.log_files_in_group
+@dataclass(frozen=True)
+class LogStatic:
+    """``txn_per_sec``-independent intermediates of :func:`log_model`.
+
+    They depend only on knob values, disk constants and the (loop-invariant)
+    concurrency level, so a fixed-point solver computes them once.
+    """
+
+    group: float
+    commit_ms: float            # full per-commit cost incl. binlog term
+    mode1: "bool | None"        # flush_log_at_trx_commit == 1; None: no redo
+    binlog_on: "bool | None"
+    safe_binlog: float
+    group_bytes: float
 
 
-def crashes_disk(config: LogConfig, disk_gb: float) -> bool:
-    """The §5.2.3 crash rule: redo group exceeds its disk share."""
-    return log_group_bytes(config) > DISK_LOG_FRACTION_LIMIT * disk_gb * 1024 ** 3
-
-
-def crashes_disk_array(log_file_bytes, log_files_in_group,
-                       disk_gb: float) -> np.ndarray:
-    """Vectorized crash-region test: boolean mask, one entry per config."""
+def crashes_disk_values(log_file_bytes, log_files_in_group, disk_gb: float):
+    """The §5.2.3 crash rule over knob values (per config, or a batch)."""
     group_bytes = log_file_bytes * log_files_in_group
     return group_bytes > DISK_LOG_FRACTION_LIMIT * disk_gb * 1024 ** 3
 
 
-def evaluate_log(config: LogConfig, disk: DiskMedium, txn_per_sec: float,
-                 log_bytes_per_txn: float, concurrent_commits: float) -> LogOutcome:
-    """Model one interval of log behaviour.
+def crashes_disk(config: LogConfig, disk_gb: float) -> bool:
+    """The §5.2.3 crash rule: redo group exceeds its disk share."""
+    return bool(crashes_disk_values(config.log_file_bytes,
+                                    config.log_files_in_group, disk_gb))
+
+
+def log_static(ops, log_file_bytes, log_files_in_group,
+               flush_log_at_trx_commit, sync_binlog, disk: DiskMedium,
+               log_bytes_per_txn: float, concurrent_commits) -> LogStatic:
+    """The ``txn_per_sec``-independent part of the log model, per config.
 
     ``concurrent_commits`` is the number of sessions committing at once —
     group commit divides the fsync price among them.
     """
+    group = ops.maximum(1.0, ops.minimum(concurrent_commits, 16.0))
+    if log_bytes_per_txn == 0.0:
+        return LogStatic(group=group, commit_ms=0.0, mode1=None,
+                         binlog_on=None, safe_binlog=1.0,
+                         group_bytes=log_file_bytes * log_files_in_group)
+    # Per-commit redo durability cost: flush_log_at_trx_commit = 1 fsyncs
+    # every commit; 2 writes per commit and fsyncs once a second; 0 defers
+    # both to the background second-tick.
+    mode1 = flush_log_at_trx_commit == 1
+    commit_ms = ops.where(
+        mode1, disk.fsync_ms / group,
+        ops.where(flush_log_at_trx_commit == 2,
+                  0.02 + disk.write_latency_ms * 0.1, 0.01))
+    # Binlog durability on top.
+    binlog_on = sync_binlog > 0
+    safe_binlog = ops.where(binlog_on, sync_binlog, 1.0)
+    commit_ms = ops.where(
+        binlog_on, commit_ms + disk.fsync_ms / (safe_binlog * group),
+        commit_ms)
+    return LogStatic(group=group, commit_ms=commit_ms, mode1=mode1,
+                     binlog_on=binlog_on, safe_binlog=safe_binlog,
+                     group_bytes=log_file_bytes * log_files_in_group)
+
+
+def log_model(ops, log_buffer_bytes, txn_per_sec, log_bytes_per_txn: float,
+              static: LogStatic) -> LogOutcome:
+    """One interval of log behaviour per config.
+
+    ``ops`` is numpy or :data:`~repro.dbsim.numeric.FLOATS`;
+    ``log_buffer_bytes`` and ``txn_per_sec`` hold one value per config,
+    ``log_bytes_per_txn`` is a workload scalar and ``static`` comes from
+    :func:`log_static`.  :func:`evaluate_log` is the checked entry point
+    for one config.
+    """
+    redo_rate = txn_per_sec * log_bytes_per_txn
+    if static.mode1 is None:
+        redo_fsyncs = binlog_fsyncs = 0.0
+    else:
+        redo_fsyncs = ops.where(static.mode1, txn_per_sec / static.group, 1.0)
+        binlog_fsyncs = ops.where(static.binlog_on,
+                                  txn_per_sec / static.safe_binlog, 0.0)
+
+    # Checkpoint pressure: how fast does the workload wrap the redo group?
+    # Healthy deployments size the log for >= ~20 min of redo; below that,
+    # the page cleaner must flush synchronously with the workload.
+    safe_redo = ops.where(redo_rate > 0, redo_rate, 1.0)
+    fill_seconds = static.group_bytes / safe_redo
+    target_seconds = 1200.0
+    shortfall = target_seconds / ops.maximum(fill_seconds, 1.0)
+    log_shortfall = np.log1p(shortfall - 1.0)
+    checkpoint_factor = ops.where(
+        (redo_rate > 0) & (fill_seconds < target_seconds),
+        1.0 + 0.25 * (log_shortfall * log_shortfall), 1.0)
+
+    # Log-buffer waits: the buffer must absorb ~0.5 s of redo between writes.
+    deficit = 0.5 * redo_rate / ops.maximum(log_buffer_bytes, 1.0)
+    log_waits = ops.where(
+        (redo_rate > 0) & (log_buffer_bytes < 0.5 * redo_rate),
+        txn_per_sec * ops.minimum(1.0, 0.1 * (deficit - 1.0)), 0.0)
+
+    return LogOutcome(
+        commit_ms=static.commit_ms,
+        checkpoint_factor=checkpoint_factor,
+        log_waits_per_sec=ops.maximum(log_waits, 0.0),
+        fsyncs_per_sec=redo_fsyncs + binlog_fsyncs,
+        redo_bytes_per_sec=redo_rate,
+    )
+
+
+def evaluate_log(config: LogConfig, disk: DiskMedium, txn_per_sec: float,
+                 log_bytes_per_txn: float, concurrent_commits: float) -> LogOutcome:
+    """Model one interval of log behaviour."""
     if txn_per_sec < 0 or log_bytes_per_txn < 0:
         raise ValueError("rates must be non-negative")
     if config.flush_log_at_trx_commit not in (0, 1, 2):
         raise ValueError("flush_log_at_trx_commit must be 0, 1 or 2")
     if config.sync_binlog < 0:
         raise ValueError("sync_binlog must be >= 0")
-
-    group = max(1.0, min(concurrent_commits, 16.0))  # group-commit batch
-    redo_rate = txn_per_sec * log_bytes_per_txn
-
-    # Per-commit redo durability cost.
-    if log_bytes_per_txn == 0.0:
-        commit_ms = 0.0
-        redo_fsyncs = 0.0
-    elif config.flush_log_at_trx_commit == 1:
-        commit_ms = disk.fsync_ms / group
-        redo_fsyncs = txn_per_sec / group
-    elif config.flush_log_at_trx_commit == 2:
-        # Write syscall per commit, fsync once a second.
-        commit_ms = 0.02 + disk.write_latency_ms * 0.1
-        redo_fsyncs = 1.0
-    else:  # 0: both deferred to the background second-tick
-        commit_ms = 0.01
-        redo_fsyncs = 1.0
-
-    # Binlog durability on top.
-    binlog_fsyncs = 0.0
-    if config.sync_binlog > 0 and log_bytes_per_txn > 0.0:
-        commit_ms += disk.fsync_ms / (config.sync_binlog * group)
-        binlog_fsyncs = txn_per_sec / config.sync_binlog
-
-    # Checkpoint pressure: how fast does the workload wrap the redo group?
-    # Healthy deployments size the log for >= ~20 min of redo; below that,
-    # the page cleaner must flush synchronously with the workload.
-    checkpoint_factor = 1.0
-    if redo_rate > 0:
-        fill_seconds = log_group_bytes(config) / redo_rate
-        target_seconds = 1200.0
-        if fill_seconds < target_seconds:
-            shortfall = target_seconds / max(fill_seconds, 1.0)
-            # Explicit square (not **2) to share last-ulp behaviour with
-            # the vectorized path in evaluate_log_arrays.
-            log_shortfall = np.log1p(shortfall - 1.0)
-            checkpoint_factor = 1.0 + 0.25 * (log_shortfall * log_shortfall)
-
-    # Log-buffer waits: the buffer must absorb ~0.5 s of redo between writes.
-    log_waits = 0.0
-    if redo_rate > 0 and config.log_buffer_bytes < 0.5 * redo_rate:
-        deficit = 0.5 * redo_rate / max(config.log_buffer_bytes, 1.0)
-        log_waits = txn_per_sec * min(1.0, 0.1 * (deficit - 1.0))
-
-    return LogOutcome(
-        commit_ms=float(commit_ms),
-        checkpoint_factor=float(checkpoint_factor),
-        log_waits_per_sec=float(max(log_waits, 0.0)),
-        fsyncs_per_sec=float(redo_fsyncs + binlog_fsyncs),
-        redo_bytes_per_sec=float(redo_rate),
-    )
-
-
-@dataclass(frozen=True)
-class LogArrays:
-    """:class:`LogOutcome` with one array entry per config."""
-
-    commit_ms: np.ndarray
-    checkpoint_factor: np.ndarray
-    log_waits_per_sec: np.ndarray
-    fsyncs_per_sec: np.ndarray
-    redo_bytes_per_sec: np.ndarray
-
-
-@dataclass(frozen=True)
-class LogStatic:
-    """Rate-independent intermediates of :func:`evaluate_log_arrays`.
-
-    Everything here depends only on knob values, disk constants and the
-    (loop-invariant) concurrency level — not on ``txn_per_sec`` — so a
-    fixed-point solver can compute it once and reuse it every iteration.
-    The values are produced by the exact same ops the inline path runs,
-    keeping results bitwise-identical.
-    """
-
-    group: np.ndarray
-    commit_ms: np.ndarray       # full per-commit cost incl. binlog term
-    mode1: np.ndarray | None    # flush_log_at_trx_commit == 1 (None if no redo)
-    binlog_on: np.ndarray | None
-    safe_binlog: np.ndarray | None
-    group_bytes: np.ndarray
-
-
-def log_static_arrays(log_file_bytes, log_files_in_group,
-                      flush_log_at_trx_commit, sync_binlog,
-                      disk: DiskMedium, log_bytes_per_txn: float,
-                      concurrent_commits) -> LogStatic:
-    """Precompute the ``txn_per_sec``-independent parts of the log model."""
-    group = np.maximum(1.0, np.minimum(concurrent_commits, 16.0))
-
-    # Per-commit redo durability cost (flush_log_at_trx_commit = 1/2/0).
-    if log_bytes_per_txn == 0.0:
-        commit_ms = np.zeros_like(group)
-        mode1 = None
-        binlog_on = None
-        safe_binlog = None
-    else:
-        mode1 = flush_log_at_trx_commit == 1
-        mode2 = flush_log_at_trx_commit == 2
-        commit_ms = np.where(
-            mode1, disk.fsync_ms / group,
-            np.where(mode2, 0.02 + disk.write_latency_ms * 0.1, 0.01))
-        # Binlog durability on top.
-        binlog_on = sync_binlog > 0
-        safe_binlog = np.where(binlog_on, sync_binlog, 1.0)
-        commit_ms = np.where(
-            binlog_on, commit_ms + disk.fsync_ms / (safe_binlog * group),
-            commit_ms)
-
-    group_bytes = log_file_bytes * log_files_in_group
-    return LogStatic(group=group, commit_ms=commit_ms, mode1=mode1,
-                     binlog_on=binlog_on, safe_binlog=safe_binlog,
-                     group_bytes=group_bytes)
-
-
-def evaluate_log_arrays(log_file_bytes, log_files_in_group, log_buffer_bytes,
-                        flush_log_at_trx_commit, sync_binlog,
-                        disk: DiskMedium, txn_per_sec,
-                        log_bytes_per_txn: float,
-                        concurrent_commits,
-                        static: LogStatic | None = None) -> LogArrays:
-    """Vectorized :func:`evaluate_log` over per-config knob/rate arrays.
-
-    Knob inputs are validated values (one array entry per config);
-    ``txn_per_sec`` and ``concurrent_commits`` vary per config too, while
-    ``log_bytes_per_txn`` is a workload scalar.  Runs the same numpy ops
-    as the scalar path so results are bitwise-identical.  Pass ``static``
-    (from :func:`log_static_arrays`) to skip recomputing rate-independent
-    terms inside a fixed-point loop.
-    """
-    if static is None:
-        static = log_static_arrays(log_file_bytes, log_files_in_group,
-                                   flush_log_at_trx_commit, sync_binlog,
-                                   disk, log_bytes_per_txn,
-                                   concurrent_commits)
-    group = static.group
-    commit_ms = static.commit_ms
-    redo_rate = txn_per_sec * log_bytes_per_txn
-
-    if static.mode1 is None:
-        redo_fsyncs = np.zeros_like(group)
-        binlog_fsyncs = np.zeros_like(group)
-    else:
-        redo_fsyncs = np.where(static.mode1, txn_per_sec / group, 1.0)
-        binlog_fsyncs = np.where(static.binlog_on,
-                                 txn_per_sec / static.safe_binlog, 0.0)
-
-    # Checkpoint pressure: how fast does the workload wrap the redo group?
-    group_bytes = static.group_bytes
-    safe_redo = np.where(redo_rate > 0, redo_rate, 1.0)
-    fill_seconds = group_bytes / safe_redo
-    target_seconds = 1200.0
-    shortfall = target_seconds / np.maximum(fill_seconds, 1.0)
-    with np.errstate(invalid="ignore"):
-        log_shortfall = np.log1p(shortfall - 1.0)
-    checkpoint_factor = np.where(
-        (redo_rate > 0) & (fill_seconds < target_seconds),
-        1.0 + 0.25 * (log_shortfall * log_shortfall), 1.0)
-
-    # Log-buffer waits: the buffer must absorb ~0.5 s of redo between writes.
-    deficit = 0.5 * redo_rate / np.maximum(log_buffer_bytes, 1.0)
-    log_waits = np.where(
-        (redo_rate > 0) & (log_buffer_bytes < 0.5 * redo_rate),
-        txn_per_sec * np.minimum(1.0, 0.1 * (deficit - 1.0)), 0.0)
-
-    return LogArrays(
-        commit_ms=commit_ms,
-        checkpoint_factor=checkpoint_factor,
-        log_waits_per_sec=np.maximum(log_waits, 0.0),
-        fsyncs_per_sec=redo_fsyncs + binlog_fsyncs,
-        redo_bytes_per_sec=redo_rate + np.zeros_like(group),
-    )
+    static = log_static(FLOATS, config.log_file_bytes,
+                        config.log_files_in_group,
+                        config.flush_log_at_trx_commit, config.sync_binlog,
+                        disk, log_bytes_per_txn, concurrent_commits)
+    return log_model(FLOATS, config.log_buffer_bytes, txn_per_sec,
+                     log_bytes_per_txn, static)

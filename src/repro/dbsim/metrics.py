@@ -307,7 +307,7 @@ def metrics_vector(snapshot: EngineSnapshot,
     ``noise`` adds multiplicative Gaussian measurement jitter (real counters
     are never exactly reproducible between stress tests).
     """
-    values = np.array([_DERIVATIONS[name](snapshot) for name in METRIC_NAMES])
+    values = metrics_matrix(snapshot, 1)[0]
     if noise > 0.0:
         if rng is None:
             raise ValueError("noise > 0 requires an rng")
@@ -316,16 +316,18 @@ def metrics_vector(snapshot: EngineSnapshot,
 
 
 def metrics_matrix(snapshot: EngineSnapshot, n: int) -> np.ndarray:
-    """Raw ``(n, 63)`` metric derivations for an array-valued snapshot.
+    """Raw ``(n, 63)`` metric derivations of the engine's snapshot.
 
-    ``snapshot`` holds per-config arrays (or workload scalars) in each
-    field, as produced by the engine's batched solver.  The derivations
-    are the exact same callables the scalar path uses — they contain only
-    elementwise arithmetic, so row ``i`` is bitwise-identical to the
-    scalar derivation of config ``i``'s snapshot.  Measurement jitter and
-    the non-negativity clamp are applied per row by the caller (jitter is
-    seeded per config), matching :func:`metrics_vector` order of ops.
+    For one config (``n == 1``) the snapshot holds floats; for a batch it
+    holds per-config arrays (or workload scalars) in each field.  The
+    derivations contain only elementwise arithmetic, so row ``i`` is
+    bitwise-identical to the derivation of config ``i`` alone.
+    Measurement jitter and the non-negativity clamp are applied by the
+    caller (jitter is seeded per config), matching
+    :func:`metrics_vector` order of ops.
     """
+    if n == 1:
+        return np.array([[derive(snapshot) for derive in _DERIVATION_SEQ]])
     out = np.empty((n, N_METRICS))
     for j, derive in enumerate(_DERIVATION_SEQ):
         out[:, j] = derive(snapshot)

@@ -1,12 +1,15 @@
-"""Property-style equivalence suite for the vectorized evaluation path.
+"""Bitwise equivalence of the simulator model's two number types.
 
-The contract under test: ``SimulatedDatabase.evaluate_many`` is
+``SimulatedDatabase.evaluate`` is a one-config batch, which runs the model
+on Python floats; ``evaluate_many`` over several configs runs it on numpy
+arrays.  The contract under test: ``evaluate_many`` is
 *bitwise-identical* to running ``evaluate`` serially over the same
 configs in the same order.  Not "close", identical: the
 same observation bits, the same counter values, the same LRU cache keys
 in the same order.  The config mix deliberately includes crash-region
 configs, in-batch duplicates and partial configs, across cache sizes
-(off / large / tiny-with-evictions) and noise on/off.
+(off / large / tiny-with-evictions) and noise on/off.  Numbers that must
+hold on any host are pinned by ``tests/test_dbsim_golden.py``.
 """
 
 import numpy as np
