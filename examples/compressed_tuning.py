@@ -12,8 +12,9 @@ so this demo shows the three levers of ``repro.reuse``:
    recommending (:func:`repro.reuse.staged_tune` does 1+2 end to end);
 3. **reuse history**: a second session on the same signature is
    bootstrapped from the first one's evaluations through the tuning
-   service (``reuse_history=True``) — warmup probes and replay-buffer
-   pre-fill at zero extra stress-test cost.
+   service (``mode="refine"``) — warmup probes and replay-buffer
+   pre-fill at zero extra stress-test cost.  The first session runs
+   steps 1+2 inside the service (``mode="compress"``).
 
 Run:  python examples/compressed_tuning.py            # full demo
       python examples/compressed_tuning.py --smoke    # small budgets (CI)
@@ -51,7 +52,8 @@ def main(argv=None) -> int:
     mix = webshop_mix()
 
     print("=== 1. compress the mix ===")
-    compression = WorkloadCompressor(max_components=1).compress(mix)
+    compressor = WorkloadCompressor(max_components=1)
+    compression = compressor.compress(mix)
     kept = ", ".join(spec.name for spec, _ in compression.mix.flatten())
     print(f"mix {mix.name!r}: {mix.n_components} components -> "
           f"kept [{kept}] (ratio {compression.compression_ratio:.2f}, "
@@ -59,7 +61,7 @@ def main(argv=None) -> int:
 
     print("\n=== 2. staged tuning: cheap loop, full-mix verification ===")
     tuner = CDBTune(seed=7, noise=0.0)
-    staged = staged_tune(tuner, CDB_C, mix, compressor=None,
+    staged = staged_tune(tuner, CDB_C, mix, compressor=compressor,
                          train_steps=train_steps, tune_steps=5, top_k=3,
                          train_kwargs={"stop_on_convergence": False})
     verification = staged.verification
@@ -76,15 +78,14 @@ def main(argv=None) -> int:
                       train_steps=train_steps, tune_steps=4,
                       train_kwargs={"stop_on_convergence": False})
         first = service.wait(service.submit(TuningRequest(
-            seed=11, compress=True, compress_components=1, **common)),
-            timeout=600)
+            seed=11, mode="compress", **common)), timeout=600)
         status = first.status()
         print(f"first session:  {status['state']}, compression "
               f"{status['compression']['components_kept']}/"
               f"{status['compression']['components_total']}, verified "
               f"{status['verification']['promoted']} candidates")
         second = service.wait(service.submit(TuningRequest(
-            seed=12, reuse_history=True, **common)), timeout=600)
+            seed=12, mode="refine", **common)), timeout=600)
         status = second.status()
         boot = status["history_bootstrap"]
         print(f"second session: {status['state']}, bootstrapped with "

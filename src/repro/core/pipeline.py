@@ -17,8 +17,10 @@ actor/critic update), per-phase histograms, and a
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -33,12 +35,62 @@ __all__ = [
     "Telemetry",
     "TrainingResult",
     "TuningResult",
+    "check_train_args",
     "offline_train",
     "online_tune",
 ]
 
 CONVERGENCE_THRESHOLD = 0.005   # paper: 0.5 % change
 CONVERGENCE_WINDOW = 5          # over five consecutive probes
+
+
+#: The keyword arguments of :func:`offline_train`: each numeric one with
+#: the number type and the closed range its value must lie in.
+_TRAIN_ARGS: Dict[str, Tuple[type, float, float] | None] = {
+    "max_steps": (numbers.Integral, 1, math.inf),
+    "episode_length": (numbers.Integral, 1, math.inf),
+    "updates_per_step": (numbers.Integral, 0, math.inf),
+    "probe_every": (numbers.Integral, 1, math.inf),
+    "warmup_steps": (numbers.Integral, 0, math.inf),
+    "exploit_frac": (numbers.Real, 0.0, 1.0),
+    "convergence_threshold": (numbers.Real, 0.0, math.inf),
+    "convergence_window": (numbers.Integral, 1, math.inf),
+    "stop_on_convergence": None,
+    "warmup_seeds": None,
+    "replay_seeds": None,
+}
+
+
+def check_train_args(args: Mapping[str, object]) -> None:
+    """Raise if :func:`offline_train` cannot run with these arguments.
+
+    An unknown name raises ``TypeError``, as the call would; a value of
+    the wrong type or range raises ``ValueError``.  The action width of
+    ``warmup_seeds`` needs the environment, so :func:`offline_train`
+    checks it when it uses them.
+    """
+    unknown = sorted(set(args) - set(_TRAIN_ARGS))
+    if unknown:
+        raise TypeError(f"unknown offline_train arguments {unknown}")
+    for name, value in args.items():
+        if _TRAIN_ARGS[name] is None:
+            continue
+        kind, low, high = _TRAIN_ARGS[name]
+        if not isinstance(value, kind) or not low <= value <= high:
+            noun = "an integer" if kind is numbers.Integral else "a number"
+            raise ValueError(f"{name} must be {noun} in [{low}, {high}], "
+                             f"not {value!r}")
+    seeds, replay = args.get("warmup_seeds"), args.get("replay_seeds")
+    try:
+        rows = np.asarray([] if seeds is None else seeds, dtype=float)
+        for action, reward in [] if replay is None else replay:
+            np.asarray(action, dtype=float)
+            float(reward)
+    except (TypeError, ValueError):
+        rows = None
+    if rows is None or (rows.size and rows.ndim != 2):
+        raise ValueError("warmup_seeds must be a matrix of action rows and "
+                         "replay_seeds a list of (action, reward) pairs")
 
 
 def _greedy_probe(env: TuningEnvironment, agent: DDPGAgent) -> StepResult:
@@ -112,8 +164,8 @@ def offline_train(env: TuningEnvironment, agent: DDPGAgent,
     replay memory before training, anchored on the first episode's reset
     state — neither consumes a stress test.
     """
-    if max_steps <= 0 or episode_length <= 0:
-        raise ValueError("max_steps and episode_length must be positive")
+    check_train_args({name: value for name, value in locals().items()
+                      if name in _TRAIN_ARGS})
     tracer = get_tracer()
     database = env.database
     evaluations_before = database.evaluations

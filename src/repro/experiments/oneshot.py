@@ -221,8 +221,7 @@ def _run_curves(scale: Scale, seed: int, hardware: HardwareSpec,
         # -- warm: corpus as warmup probes + replay pre-fill ---------------
         tick = time.perf_counter()
         tuner = CDBTune(seed=seed, noise=0.0)
-        bootstrap = history.bootstrap(signature, tuner.registry,
-                                      seeds=6, replay=24)
+        bootstrap = history.bootstrap(signature, tuner.registry)
         tuner.offline_train(hardware, target, max_steps=budget,
                             warmup_seeds=bootstrap["warmup_seeds"],
                             replay_seeds=bootstrap["replay_seeds"], **kwargs)

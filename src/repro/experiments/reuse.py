@@ -244,8 +244,7 @@ def _run_curves(scale: Scale, seed: int, hardware: HardwareSpec,
         # -- history: full price per evaluation, warm knowledge -------------
         tick = time.perf_counter()
         tuner = CDBTune(seed=seed, noise=0.0)
-        bootstrap = history.bootstrap(mix.signature(), tuner.registry,
-                                      seeds=6, replay=24)
+        bootstrap = history.bootstrap(mix.signature(), tuner.registry)
         training = tuner.offline_train(
             hardware, mix, max_steps=budget,
             warmup_seeds=bootstrap["warmup_seeds"],

@@ -9,8 +9,8 @@ the single seam the rest of the repo instruments through:
   thread-safe JSONL :class:`SpanExporter`;
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms with a Prometheus text exposition and a JSON snapshot;
-* :mod:`repro.obs.profiling` — ``@profiled`` / ``profile_block`` feeding
-  per-phase histograms (and the ``Telemetry`` blocks results carry);
+* :mod:`repro.obs.profiling` — ``profile_block`` feeding per-phase
+  histograms (and the ``Telemetry`` blocks results carry);
 * :mod:`repro.obs.logging` — the ``repro`` logger hierarchy and the
   console wiring the CLIs use instead of ``print()``;
 * :mod:`repro.obs.report` — the ``obs-report`` renderer (span tree +
@@ -38,7 +38,7 @@ from .metrics import (
     get_metrics,
     set_metrics,
 )
-from .profiling import profile_block, profiled
+from .profiling import profile_block
 from .report import load_jsonl, obs_report, render_metrics, render_trace
 from .tracing import (
     NULL_SPAN,
@@ -63,7 +63,6 @@ __all__ = [
     "get_metrics",
     "set_metrics",
     "profile_block",
-    "profiled",
     "load_jsonl",
     "obs_report",
     "render_metrics",

@@ -2,24 +2,21 @@
 
 ``profile_block("offline_train.probe")`` times a block and observes the
 wall-clock seconds into the histogram of that name in the global (or a
-supplied) :class:`~repro.obs.metrics.MetricsRegistry`; ``@profiled``
-does the same for a whole function.  Both also accumulate into an
-optional dict — the per-phase ``Telemetry.phase_seconds`` the result
-classes carry — so a single timing feeds the metrics exposition and the
-result object without being taken twice.
+supplied) :class:`~repro.obs.metrics.MetricsRegistry`.  It also
+accumulates into an optional dict — the per-phase
+``Telemetry.phase_seconds`` the result classes carry — so a single timing
+feeds the metrics exposition and the result object without being taken
+twice.
 """
 
 from __future__ import annotations
 
-import functools
 import time
-from typing import Callable, Dict, MutableMapping, TypeVar
+from typing import MutableMapping
 
 from .metrics import MetricsRegistry, get_metrics
 
-__all__ = ["profile_block", "profiled"]
-
-F = TypeVar("F", bound=Callable)
+__all__ = ["profile_block"]
 
 
 class profile_block:
@@ -66,22 +63,3 @@ class profile_block:
                 self.phases.get(self.phase_key, 0.0) + self.elapsed)
         return False
 
-
-def profiled(name: str | None = None,
-             registry: MetricsRegistry | None = None) -> Callable[[F], F]:
-    """Decorator observing each call's duration into a histogram.
-
-    ``name`` defaults to the function's qualified name.
-    """
-
-    def decorate(func: F) -> F:
-        histogram_name = name or f"{func.__module__}.{func.__qualname__}"
-
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            with profile_block(histogram_name, registry=registry):
-                return func(*args, **kwargs)
-
-        return wrapper  # type: ignore[return-value]
-
-    return decorate

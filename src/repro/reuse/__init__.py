@@ -3,7 +3,7 @@
 Tuning cost is dominated by workload replay.  This package attacks the
 bill from three sides, each usable alone and composed end to end by
 :func:`~repro.reuse.verify.staged_tune` and the tuning service's
-``compress`` / ``reuse_history`` session options:
+``compress`` / ``refine`` session modes:
 
 * :mod:`repro.reuse.mix` — multi-component workloads
   (:class:`WorkloadMix`) with aggregate signatures and batched

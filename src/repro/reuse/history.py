@@ -415,7 +415,7 @@ class HistoryStore:
         return pairs
 
     def bootstrap(self, signature: Mapping[str, float],
-                  registry: KnobRegistry, seeds: int = 6, replay: int = 32,
+                  registry: KnobRegistry, seeds: int = 6, replay: int = 24,
                   max_distance: float | None = None) -> Dict[str, object]:
         """Both bootstrap products plus provenance, for one session.
 

@@ -36,7 +36,7 @@ from typing import List, Optional
 from .audit import AuditLog
 from .frontdoor import ServiceFrontDoor
 from .registry import ModelRegistry
-from .server import TuningRequest, TuningService
+from .server import MODES, TuningRequest, TuningService
 from .shard import ShardedTuningService
 from ..dbsim.hardware import INSTANCES
 from ..dbsim.workload import WORKLOADS
@@ -77,10 +77,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="offline training step budget per session")
     parser.add_argument("--tune-steps", type=int, default=5,
                         help="online tuning steps (paper: 5)")
-    parser.add_argument("--mode", default="full",
-                        choices=["full", "refine", "oneshot"],
-                        help="session mode: full DDPG run, refine from "
-                             "history, or one-shot predict-then-refine "
+    parser.add_argument("--mode", default="full", choices=list(MODES),
+                        help="stages each session runs: full trains, tunes "
+                             "and canaries; refine first bootstraps from "
+                             "the tuning history; oneshot also predicts a "
+                             "config from the corpus before a shorter "
+                             "search; compress tunes on a compressed "
+                             "workload mix and verifies on the full one "
                              "(default full)")
     parser.add_argument("--oneshot-from-audit", default=None,
                         metavar="AUDIT_JSONL",

@@ -50,6 +50,7 @@ import json
 import math
 import threading
 import time
+from dataclasses import fields
 from typing import Callable, Dict, Optional, Tuple
 
 from .server import QueueFullError, TuningRequest, TuningService
@@ -85,13 +86,7 @@ class _HttpError(Exception):
 
 #: Fields a ``POST /v1/sessions`` body may carry (anything else is a 400
 #: — a typoed knob silently ignored is worse than a rejected request).
-_REQUEST_FIELDS = frozenset({
-    "workload", "hardware", "tenant", "priority", "train_steps",
-    "tune_steps", "current_config", "seed", "noise",
-    "mode", "warm_start", "train_kwargs", "compress",
-    "compress_components", "reuse_history", "history_seeds",
-    "history_replay", "verify_top_k",
-})
+_REQUEST_FIELDS = frozenset(field.name for field in fields(TuningRequest))
 
 
 class TokenBucket:

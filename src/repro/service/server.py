@@ -21,6 +21,10 @@ Session lifecycle::
     SUBMITTED → WARMUP → TRAINING → RECOMMENDED → DEPLOYED
                                                 → FAILED
 
+A request's ``mode`` picks the stages its session runs from one table,
+:data:`MODES`; each stage is one ``TuningService._stage_<name>`` method
+with its own span and phase timing.
+
 One-shot sessions (``mode="oneshot"``, with a fitted
 :class:`~repro.oneshot.OneShotRecommender` attached) pass through an
 extra ``PREDICTED`` state between WARMUP and TRAINING: the corpus-trained
@@ -41,20 +45,21 @@ import heapq
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from .audit import AuditLog
 from .recommendation import Recommendation as ServiceRecommendation
-from .registry import ModelEntry, ModelRegistry
+from .registry import ModelRegistry
 from .safety import CanaryVerdict, SafetyGuard
+from ..core.pipeline import check_train_args
 from ..core.recommender import Recommendation
 from ..core.results import SessionReport, Telemetry, TrainingResult, TuningResult
 from ..core.tuner import CDBTune
 from ..dbsim.hardware import HardwareSpec
 from ..dbsim.workload import WorkloadSpec, get_workload
-from ..obs import get_logger, get_metrics, get_tracer, profile_block
+from ..obs import get_logger, get_metrics, get_tracer
 from ..reuse.compress import CompressionResult, WorkloadCompressor
 from ..reuse.history import HistoryStore
 from ..reuse.mix import WorkloadMix
@@ -63,7 +68,7 @@ from ..reuse.verify import (ConfigVerifier, VerificationResult,
 
 logger = get_logger(__name__)
 
-__all__ = ["QueueFullError", "SessionState", "TuningRequest",
+__all__ = ["MODES", "QueueFullError", "SessionState", "TuningRequest",
            "TuningSession", "TuningService"]
 
 
@@ -101,23 +106,31 @@ class SessionState:
     EXPIRED = "EXPIRED"
 
     TERMINAL = frozenset({DEPLOYED, FAILED, EXPIRED})
-    ORDER = (SUBMITTED, WARMUP, TRAINING, RECOMMENDED, DEPLOYED)
 
 
-#: Per-mode defaults for the knowledge-reuse switches.  ``None`` in the
-#: request means "whatever the mode says"; an explicit boolean wins.
-_MODE_DEFAULTS: Dict[str, Dict[str, bool]] = {
-    # Today's behaviour: full offline training, warm start when the
-    # registry has a close-enough model.
-    "full": {"warm_start": True, "compress": False, "reuse_history": False},
-    # Lean on everything already known: registry warm start plus history
-    # bootstrap, full per-session search budget semantics otherwise.
-    "refine": {"warm_start": True, "compress": False, "reuse_history": True},
-    # Predict first from the tuning corpus, then refine with a reduced
-    # budget.  History bootstrap is on: a fleet with a trained one-shot
-    # model by definition has history worth seeding from.
-    "oneshot": {"warm_start": True, "compress": False, "reuse_history": True},
+#: The stages each request mode runs, in order; stage ``x`` is the
+#: method ``TuningService._stage_x``.  ``full`` is the paper's session
+#: (§2.1.2): train, tune, then the canary before deploy (OnlineTune).
+#: ``refine`` first bootstraps from the service's tuning history;
+#: ``oneshot`` also predicts a config from the tuning corpus and demotes
+#: the search to a reduced-budget refinement (E2ETune); ``compress``
+#: tunes on a one-component compression of the workload mix and verifies
+#: the best candidates on the full mix.
+MODES: Dict[str, Tuple[str, ...]] = {
+    "full": ("warmup", "training", "tuning", "recommend", "canary"),
+    "refine": ("warmup", "history", "training", "tuning", "recommend",
+               "canary"),
+    "oneshot": ("warmup", "history", "oneshot", "training", "tuning",
+                "recommend", "canary"),
+    "compress": ("warmup", "compress", "training", "tuning", "verify",
+                 "recommend", "canary"),
 }
+
+#: The state a session enters as a stage starts.  The states a stage
+#: reaches by its outcome (PREDICTED, RECOMMENDED, DEPLOYED, FAILED) are
+#: entered by the stage itself.
+_ENTRY_STATES = {"warmup": SessionState.WARMUP,
+                 "training": SessionState.TRAINING}
 
 
 @dataclass
@@ -131,18 +144,19 @@ class TuningRequest:
     ``workload`` may be a :class:`~repro.reuse.mix.WorkloadMix` (or a mix
     dict through the front door).
 
-    ``mode`` picks the serving strategy — ``"full"`` (cold/warm RL
-    session, the default), ``"refine"`` (reuse all accumulated
-    knowledge) or ``"oneshot"`` (instant prediction from the tuning
-    corpus, RL demoted to a reduced-budget refinement pass) — and sets
-    the defaults for the per-feature switches.  ``warm_start``,
-    ``compress`` and ``reuse_history`` accept explicit booleans to
-    override the mode (``None`` defers to it): ``compress`` tunes on a
-    compressed mix and stage-verifies the top ``verify_top_k``
-    candidates on the full workload before the canary; ``reuse_history``
-    bootstraps warmup probes (``history_seeds``) and the replay buffer
-    (``history_replay``) from the service's
-    :class:`~repro.reuse.history.HistoryStore`.
+    ``mode`` picks the stages the session runs (:data:`MODES`):
+    ``"full"`` (the default) trains and tunes, warm-started when the
+    registry holds a close-enough model; ``"refine"`` also seeds warmup
+    probes and the replay buffer from the service's
+    :class:`~repro.reuse.history.HistoryStore`; ``"oneshot"`` does that
+    and serves an instant prediction from the tuning corpus before a
+    reduced-budget refinement; ``"compress"`` tunes on the workload
+    compressed to one component per time slice and verifies the best
+    candidates on the full workload before the canary.
+
+    ``train_kwargs`` are passed to
+    :func:`~repro.core.pipeline.offline_train`; the service sets
+    ``max_steps`` itself, from ``train_steps``.
     """
 
     hardware: HardwareSpec
@@ -154,14 +168,7 @@ class TuningRequest:
     current_config: Dict[str, float] | None = None
     seed: int = 0
     noise: float = 0.015
-    mode: str = "full"             # "full" | "refine" | "oneshot"
-    warm_start: bool | None = None
-    compress: bool | None = None   # tune on compressed mix, stage-verify
-    compress_components: int | None = None  # per-slice budget (None: coverage)
-    reuse_history: bool | None = None  # bootstrap from the service history
-    history_seeds: int = 6         # warmup probes seeded from history
-    history_replay: int = 24       # replay transitions pre-filled from history
-    verify_top_k: int = 3          # candidates promoted to full-mix batch
+    mode: str = "full"
     train_kwargs: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -175,30 +182,9 @@ class TuningRequest:
             raise TypeError(f"tenant must be a string, not "
                             f"{type(self.tenant).__name__}")
         self.mode = str(self.mode)
-        if self.mode not in _MODE_DEFAULTS:
-            raise ValueError(
-                f"unknown mode {self.mode!r}; "
-                f"expected one of {sorted(_MODE_DEFAULTS)}")
-        if (self.mode == "refine" and self.warm_start is False
-                and self.reuse_history is False):
-            raise ValueError(
-                "mode='refine' with warm_start=False and "
-                "reuse_history=False disables every knowledge source "
-                "there is to refine from; use mode='full'")
-        if self.mode == "oneshot" and self.compress is True:
-            raise ValueError(
-                "mode='oneshot' already verifies its prediction with a "
-                "canary; compress=True would additionally re-verify on "
-                "the full mix — pick mode='full' with compress=True, or "
-                "drop compress")
-        defaults = _MODE_DEFAULTS[self.mode]
-        self.warm_start = (defaults["warm_start"] if self.warm_start is None
-                           else bool(self.warm_start))
-        self.compress = (defaults["compress"] if self.compress is None
-                         else bool(self.compress))
-        self.reuse_history = (defaults["reuse_history"]
-                              if self.reuse_history is None
-                              else bool(self.reuse_history))
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}; "
+                             f"expected one of {list(MODES)}")
         # Coerce numeric fields up front (requests arrive as parsed JSON
         # through the front door) so a bad value raises here, not deep in
         # the queue's heap ordering or a worker thread.
@@ -207,23 +193,17 @@ class TuningRequest:
         self.tune_steps = int(self.tune_steps)
         self.seed = int(self.seed)
         self.noise = float(self.noise)
-        if self.compress_components is not None:
-            self.compress_components = int(self.compress_components)
-            if self.compress_components < 1:
-                raise ValueError("compress_components must be at least 1")
-        self.history_seeds = int(self.history_seeds)
-        self.history_replay = int(self.history_replay)
-        self.verify_top_k = int(self.verify_top_k)
         if self.train_steps <= 0 or self.tune_steps <= 0:
             raise ValueError("train_steps and tune_steps must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not self.noise >= 0.0:      # NaN fails too
             raise ValueError("noise must be non-negative")
-        if self.verify_top_k <= 0:
-            raise ValueError("verify_top_k must be positive")
-        if self.history_seeds < 0 or self.history_replay < 0:
-            raise ValueError("history_seeds and history_replay must be >= 0")
+        self.train_kwargs = dict(self.train_kwargs)
+        if "max_steps" in self.train_kwargs:
+            raise ValueError("train_kwargs must not set max_steps; "
+                             "train_steps sets it")
+        check_train_args(self.train_kwargs)
 
 
 class TuningSession:
@@ -370,6 +350,23 @@ class TuningSession:
         )
 
 
+@dataclass
+class _Work:
+    """What one session's stages hand on to the next ones.
+
+    Lives only while the session runs, so the tuner it holds is freed
+    when the session ends.
+    """
+
+    tuning_workload: WorkloadSpec | WorkloadMix
+    train_kwargs: Dict[str, object]
+    tuner: CDBTune | None = None
+    baseline: Dict[str, float] | None = None
+    incumbent_metrics: List[float] | None = None
+    deployed_config: Dict[str, float] | None = None
+    outcome: str | None = None
+
+
 #: Builds the per-session tuner; override to change registry/architecture.
 TunerFactory = Callable[[TuningRequest], CDBTune]
 
@@ -391,9 +388,9 @@ class TuningService:
     audit:
         Audit log; defaults to in-memory only.
     history:
-        Tuning-history store backing ``reuse_history`` sessions; defaults
-        to a fresh in-memory store that accumulates every session this
-        service completes.  Pre-populate it (e.g.
+        Tuning-history store backing ``refine`` and ``oneshot`` sessions;
+        defaults to a fresh in-memory store that accumulates every session
+        this service completes.  Pre-populate it (e.g.
         :meth:`HistoryStore.from_audit` over yesterday's JSONL) to let
         the first session of the day bootstrap warm.
     workers:
@@ -762,9 +759,9 @@ class TuningService:
                 help="Terminal sessions dropped past the retention "
                      "bound").inc(evicted)
 
-    def _find_warm_start(self, session: TuningSession, tuner: CDBTune,
-                         ) -> tuple[Optional[ModelEntry], CDBTune]:
-        """Consult the registry; returns ``(entry, tuner)``.
+    def _find_warm_start(self, session: TuningSession,
+                         tuner: CDBTune) -> CDBTune:
+        """Consult the registry; returns the tuner the session uses.
 
         A registered entry whose checkpoint has gone missing or corrupt
         on disk must degrade to a cold start, not fail the session: the
@@ -775,15 +772,15 @@ class TuningService:
         request = session.request
         workload = request.workload
         assert not isinstance(workload, str)  # resolved in __post_init__
-        if self.registry is None or not request.warm_start:
-            return None, tuner
+        if self.registry is None:
+            return tuner
         match = self.registry.find_nearest(
             workload, request.hardware,
             state_dim=tuner.agent.config.state_dim,
             action_dim=tuner.agent.config.action_dim,
             max_distance=self.warm_start_max_distance)
         if match is None:
-            return None, tuner
+            return tuner
         entry, distance = match
         try:
             self.registry.load_into(tuner, entry)
@@ -800,7 +797,7 @@ class TuningService:
             session.warm_started_from = None
             session.warm_start_distance = None
             session.train_budget = request.train_steps
-            return None, self.tuner_factory(request)
+            return self.tuner_factory(request)
         session.warm_started_from = entry.model_id
         session.warm_start_distance = distance
         session.train_budget = max(
@@ -810,355 +807,327 @@ class TuningService:
                     trained_on_hardware=entry.hardware["name"],
                     distance=round(distance, 6),
                     budget=session.train_budget)
-        return entry, tuner
+        return tuner
 
     def _process(self, session: TuningSession) -> None:
-        request = session.request
-        workload = request.workload            # the full tenant workload
-        assert not isinstance(workload, str)  # resolved in __post_init__
-        tenant = str(request.tenant)
-        tracer = get_tracer()
+        """Run the stages of the session's mode (:data:`MODES`) in order.
 
+        Each stage runs under its own ``service.<stage>`` span, and its
+        wall time goes to the ``service.<stage>`` histogram and to
+        ``phase_seconds[<stage>]``.
+        """
+        request = session.request
+        tracer = get_tracer()
+        metrics = get_metrics()
+        work = _Work(tuning_workload=request.workload,
+                     train_kwargs=dict(request.train_kwargs))
         # The session's spans live on this worker thread, but the trace id
         # was allocated at submit() — root_span joins that trace, so the
         # whole lifecycle renders as one tree.
         with tracer.root_span("service.session", trace_id=session.trace_id,
-                              session=session.id, tenant=tenant) as root:
-            # WARMUP: build the tenant's tuner, consult the registry, and
-            # seed the tenant's baseline configuration with the guard.
-            session._transition(SessionState.WARMUP)
-            self._audit(session, "started", tenant=tenant)
-            with tracer.span("service.warmup"), \
-                    profile_block("service.warmup",
-                                  phases=session.phase_seconds,
-                                  phase_key="warmup"):
-                tuner = self.tuner_factory(request)
-                entry, tuner = self._find_warm_start(session, tuner)
-                if entry is None:
-                    self._audit(session, "cold-start",
-                                budget=session.train_budget)
-                baseline = dict(tuner.db_registry.defaults())
-                if request.current_config is not None:
-                    baseline.update(
-                        tuner.db_registry.validate(request.current_config))
-                # Atomic check-and-seed: two concurrent sessions for the
-                # same tenant must not both install a stack bottom.
-                if self.guard.seed_baseline_if_absent(tenant, baseline):
-                    self._audit(session, "baseline-seeded", tenant=tenant)
+                              session=session.id,
+                              tenant=request.tenant) as root:
+            for stage in MODES[request.mode]:
+                if stage in _ENTRY_STATES:
+                    session._transition(_ENTRY_STATES[stage])
+                start = time.perf_counter()
+                try:
+                    with tracer.span(f"service.{stage}"):
+                        getattr(self, f"_stage_{stage}")(session, work)
+                finally:
+                    seconds = time.perf_counter() - start
+                    metrics.histogram(f"service.{stage}").observe(seconds)
+                    session.phase_seconds[stage] = seconds
+            root.set_tag("outcome", work.outcome)
 
-                # Evaluation economy: compress the workload for the
-                # training/tuning loop and bootstrap from history.  The
-                # full workload stays authoritative for warm-start
-                # matching, verification, the canary and registration.
-                tuning_workload = workload
-                train_kwargs = dict(request.train_kwargs)
-                if request.compress:
-                    mix = (workload if isinstance(workload, WorkloadMix)
-                           else WorkloadMix.single(workload))
-                    compressor = WorkloadCompressor(
-                        max_components=request.compress_components)
-                    session.compression = compressor.compress(mix)
-                    tuning_workload = session.compression.mix
-                    get_metrics().counter(
-                        "service.compressions",
-                        help="Sessions tuned on a compressed mix").inc()
-                    self._audit(
-                        session, "compressed",
-                        components_kept=session.compression.components_kept,
-                        components_total=session.compression.components_total,
-                        ratio=round(session.compression.compression_ratio, 4),
-                        error_estimate=round(
-                            session.compression.error_estimate, 6))
-                if request.reuse_history:
-                    # Mine only what the request asked for (seeds=0 skips
-                    # that product entirely) and report only what was
-                    # actually merged into train_kwargs — a caller-
-                    # provided warmup_seeds/replay_seeds wins, and then
-                    # the bootstrap contributed nothing.
-                    bootstrap = self.history.bootstrap(
-                        workload.signature(), tuner.registry,
-                        seeds=request.history_seeds,
-                        replay=request.history_replay)
-                    warmup_seeds = bootstrap["warmup_seeds"]
-                    replay_seeds = bootstrap["replay_seeds"]
-                    applied_warmup = applied_replay = 0
-                    if len(warmup_seeds) and "warmup_seeds" not in train_kwargs:
-                        train_kwargs["warmup_seeds"] = warmup_seeds
-                        applied_warmup = len(warmup_seeds)
-                    if replay_seeds and "replay_seeds" not in train_kwargs:
-                        train_kwargs["replay_seeds"] = replay_seeds
-                        applied_replay = len(replay_seeds)
-                    session.history_seeded = {
-                        "warmup_seeds": int(applied_warmup),
-                        "replay_seeds": int(applied_replay),
-                        "nearest_distance": bootstrap["nearest_distance"],
-                    }
-                    get_metrics().counter(
-                        "service.history_bootstraps",
-                        help="Sessions bootstrapped from tuning history").inc()
-                    self._audit(session, "history-bootstrap",
-                                **session.history_seeded)
+    def _stage_warmup(self, session: TuningSession, work: _Work) -> None:
+        """Build the tenant's tuner, consult the registry, and seed the
+        tenant's baseline configuration with the guard."""
+        request = session.request
+        self._audit(session, "started", tenant=request.tenant)
+        work.tuner = self._find_warm_start(session,
+                                           self.tuner_factory(request))
+        if session.warm_started_from is None:
+            self._audit(session, "cold-start", budget=session.train_budget)
+        baseline = dict(work.tuner.db_registry.defaults())
+        if request.current_config is not None:
+            baseline.update(
+                work.tuner.db_registry.validate(request.current_config))
+        work.baseline = baseline
+        # Atomic check-and-seed: two concurrent sessions for the same
+        # tenant must not both install a stack bottom.
+        if self.guard.seed_baseline_if_absent(request.tenant, baseline):
+            self._audit(session, "baseline-seeded", tenant=request.tenant)
 
-            # ONESHOT: consult the corpus-trained recommender before any
-            # search.  The prediction is served instantly as a provisional
-            # recommendation — audited, canaried like any candidate, and
-            # (when the canary accepts) provisionally deployed so the
-            # refinement pass starts from it.  The RL loop is then demoted
-            # to a reduced-budget refinement.
-            incumbent_metrics = None
-            if request.mode == "oneshot":
-                if self.oneshot is None \
-                        or not getattr(self.oneshot, "ready", False):
-                    # Degrades to refine behaviour: the mode's reuse
-                    # defaults still apply, only the prediction is skipped.
-                    get_metrics().counter(
-                        "service.oneshot_unavailable",
-                        help="One-shot sessions served without a fitted "
-                             "recommender").inc()
-                    self._audit(session, "oneshot-unavailable",
-                                reason=("no recommender attached"
-                                        if self.oneshot is None
-                                        else "recommender not fitted"))
-                else:
-                    with tracer.span("service.oneshot"), \
-                            profile_block("service.oneshot",
-                                          phases=session.phase_seconds,
-                                          phase_key="oneshot"):
-                        database = tuner.make_database(request.hardware,
-                                                       workload)
-                        # The prediction input a live tenant presents:
-                        # internal-metric state under the incumbent config.
-                        observation = database.evaluate(
-                            baseline, trial=SafetyGuard.BASELINE_TRIAL)
-                        incumbent_metrics = [float(v)
-                                             for v in observation.metrics]
-                        prediction = self.oneshot.predict(
-                            workload.signature(), request.hardware,
-                            observation.metrics, base_config=baseline)
-                        session.prediction_latency = prediction.latency_s
-                        verdict = self.guard.canary(
-                            database, prediction.config,
-                            baseline_config=self.guard.deployed_config(
-                                tenant))
-                    get_metrics().counter(
-                        "service.oneshot_predictions",
-                        help="Configs predicted by the one-shot "
-                             "recommender").inc()
-                    if verdict.accepted:
-                        # Provisional deploy: the tenant runs the predicted
-                        # config while refinement is still in flight, and
-                        # tune() below starts from it.  Audited under its
-                        # own event name — the terminal "deployed" event
-                        # would stop a SIGKILLed shard from replaying a
-                        # predicted-but-unrefined session.
-                        self.guard.deploy(tenant, prediction.config,
-                                          verdict)
-                        self._audit(session, "oneshot-deployed",
-                                    tenant=tenant)
-                    session.provisional = ServiceRecommendation(
-                        config=prediction.config,
-                        source="oneshot",
-                        trials_used=0,
-                        predicted_reward=prediction.predicted_score,
-                        verified=verdict.accepted)
-                    session.train_budget = max(1, int(round(
-                        session.train_budget * self.oneshot_budget_frac)))
-                    self._audit(
-                        session, "oneshot-predicted",
-                        predicted_score=round(
-                            prediction.predicted_score, 6),
-                        latency_s=round(prediction.latency_s, 6),
-                        canary_accepted=verdict.accepted,
-                        budget=session.train_budget,
-                        metrics=incumbent_metrics,
-                        config=prediction.config)
-                    session._transition(SessionState.PREDICTED)
-                    # Seed the refinement warmup with the predicted action
-                    # (ahead of any history seeds): the first probe the
-                    # session pays for measures the prediction itself.
-                    seeds = train_kwargs.get("warmup_seeds")
-                    row = np.asarray(prediction.action,
-                                     dtype=np.float64).reshape(1, -1)
-                    train_kwargs["warmup_seeds"] = (
-                        np.vstack([row, seeds])
-                        if seeds is not None and len(seeds) else row)
+    def _stage_compress(self, session: TuningSession, work: _Work) -> None:
+        """Tune on the workload compressed to one component per slice.
 
-            # TRAINING: offline training (full budget cold, reduced budget
-            # warm) followed by the online tuning steps of §2.1.2.
-            session._transition(SessionState.TRAINING)
-            with tracer.span("service.training"), \
-                    profile_block("service.training",
-                                  phases=session.phase_seconds,
-                                  phase_key="training"):
-                session.training = tuner.offline_train(
-                    request.hardware, tuning_workload,
-                    max_steps=session.train_budget, **train_kwargs)
-            self._audit(
-                session, "training-finished",
-                steps=session.training.steps,
-                episodes=session.training.episodes,
-                crashes=session.training.crashes,
-                converged=session.training.converged,
-                best_throughput=(session.training.best_probe.throughput
-                                 if session.training.best_probe else None))
-            deployed_config = self.guard.deployed_config(tenant)
-            with tracer.span("service.tuning"), \
-                    profile_block("service.tuning",
-                                  phases=session.phase_seconds,
-                                  phase_key="tuning"):
-                session.tuning = tuner.tune(request.hardware, tuning_workload,
-                                            steps=request.tune_steps,
-                                            initial_config=deployed_config)
+        The full workload stays authoritative for warm-start matching,
+        verification, the canary and registration.
+        """
+        workload = session.request.workload
+        mix = (workload if isinstance(workload, WorkloadMix)
+               else WorkloadMix.single(workload))
+        compression = WorkloadCompressor(max_components=1).compress(mix)
+        session.compression = compression
+        work.tuning_workload = compression.mix
+        get_metrics().counter(
+            "service.compressions",
+            help="Sessions tuned on a compressed mix").inc()
+        self._audit(session, "compressed",
+                    components_kept=compression.components_kept,
+                    components_total=compression.components_total,
+                    ratio=round(compression.compression_ratio, 4),
+                    error_estimate=round(compression.error_estimate, 6))
 
-            # Staged verification: when the session tuned on a genuinely
-            # compressed mix, promote the top candidates to one full-mix
-            # batch and recommend the verified winner (falling back to the
-            # compressed-mix best if every promoted candidate crashed).
-            best_config = session.tuning.best_config
-            best_perf = session.tuning.best
-            if (session.compression is not None
-                    and session.compression.compressed):
-                with tracer.span("service.verify",
-                                 top_k=request.verify_top_k), \
-                        profile_block("service.verify",
-                                      phases=session.phase_seconds,
-                                      phase_key="verify"):
-                    full_db = tuner.make_database(request.hardware, workload)
-                    candidates = [
-                        (record.knobs,
-                         performance_score(record.performance))
-                        for record in session.tuning.records
-                        if not record.crashed]
-                    candidates.append(
-                        (session.tuning.best_config,
-                         performance_score(session.tuning.best)))
-                    verifier = ConfigVerifier(full_db,
-                                              top_k=request.verify_top_k)
-                    session.verification = verifier.verify(candidates)
-                get_metrics().counter(
-                    "service.verifications",
-                    help="Staged full-mix verification batches run").inc()
-                winner = session.verification.winner_performance
-                self._audit(
-                    session, "verified",
-                    considered=session.verification.considered,
-                    promoted=session.verification.promoted,
-                    verified=session.verification.verified,
+    def _stage_history(self, session: TuningSession, work: _Work) -> None:
+        """Seed warmup probes and the replay buffer from the history.
+
+        Reports only what was merged into ``train_kwargs``: a caller's
+        own ``warmup_seeds``/``replay_seeds`` win, and then the bootstrap
+        contributed nothing.
+        """
+        bootstrap = self.history.bootstrap(
+            session.request.workload.signature(), work.tuner.registry)
+        applied = {}
+        for key in ("warmup_seeds", "replay_seeds"):
+            seeds = bootstrap[key]
+            applied[key] = 0
+            if len(seeds) and key not in work.train_kwargs:
+                work.train_kwargs[key] = seeds
+                applied[key] = len(seeds)
+        session.history_seeded = {
+            **applied, "nearest_distance": bootstrap["nearest_distance"]}
+        get_metrics().counter(
+            "service.history_bootstraps",
+            help="Sessions bootstrapped from tuning history").inc()
+        self._audit(session, "history-bootstrap", **session.history_seeded)
+
+    def _stage_oneshot(self, session: TuningSession, work: _Work) -> None:
+        """Predict a config from the tuning corpus before any search.
+
+        The prediction is served at once as a provisional recommendation,
+        canaried like any candidate and, when the canary accepts,
+        provisionally deployed so the refinement starts from it.  Without
+        a fitted recommender the session goes on as a ``refine`` one.
+        """
+        request = session.request
+        workload = request.workload
+        tenant = request.tenant
+        if self.oneshot is None or not getattr(self.oneshot, "ready", False):
+            get_metrics().counter(
+                "service.oneshot_unavailable",
+                help="One-shot sessions served without a fitted "
+                     "recommender").inc()
+            self._audit(session, "oneshot-unavailable",
+                        reason=("no recommender attached"
+                                if self.oneshot is None
+                                else "recommender not fitted"))
+            return
+        database = work.tuner.make_database(request.hardware, workload)
+        # The prediction input a live tenant presents: internal-metric
+        # state under the incumbent config.
+        observation = database.evaluate(work.baseline,
+                                        trial=SafetyGuard.BASELINE_TRIAL)
+        work.incumbent_metrics = [float(v) for v in observation.metrics]
+        prediction = self.oneshot.predict(
+            workload.signature(), request.hardware, observation.metrics,
+            base_config=work.baseline)
+        session.prediction_latency = prediction.latency_s
+        verdict = self.guard.canary(
+            database, prediction.config,
+            baseline_config=self.guard.deployed_config(tenant))
+        get_metrics().counter(
+            "service.oneshot_predictions",
+            help="Configs predicted by the one-shot recommender").inc()
+        if verdict.accepted:
+            # Provisional deploy: the tenant runs the predicted config
+            # while refinement is still in flight, and tuning starts from
+            # it.  Audited under its own event name — the terminal
+            # "deployed" event would stop a SIGKILLed shard from replaying
+            # a predicted-but-unrefined session.
+            self.guard.deploy(tenant, prediction.config, verdict)
+            self._audit(session, "oneshot-deployed", tenant=tenant)
+        session.provisional = ServiceRecommendation(
+            config=prediction.config, source="oneshot", trials_used=0,
+            predicted_reward=prediction.predicted_score,
+            verified=verdict.accepted)
+        session.train_budget = max(1, int(round(
+            session.train_budget * self.oneshot_budget_frac)))
+        self._audit(session, "oneshot-predicted",
+                    predicted_score=round(prediction.predicted_score, 6),
+                    latency_s=round(prediction.latency_s, 6),
+                    canary_accepted=verdict.accepted,
+                    budget=session.train_budget,
+                    metrics=work.incumbent_metrics,
+                    config=prediction.config)
+        session._transition(SessionState.PREDICTED)
+        # Seed the refinement warmup with the predicted action (ahead of
+        # any history seeds): the first probe the session pays for
+        # measures the prediction itself.
+        seeds = work.train_kwargs.get("warmup_seeds")
+        row = np.asarray(prediction.action, dtype=np.float64).reshape(1, -1)
+        work.train_kwargs["warmup_seeds"] = (
+            np.vstack([row, seeds]) if seeds is not None and len(seeds)
+            else row)
+
+    def _stage_training(self, session: TuningSession, work: _Work) -> None:
+        """Offline training: the full budget cold, a reduced one warm."""
+        request = session.request
+        training = work.tuner.offline_train(
+            request.hardware, work.tuning_workload,
+            max_steps=session.train_budget, **work.train_kwargs)
+        session.training = training
+        self._audit(session, "training-finished",
+                    steps=training.steps, episodes=training.episodes,
+                    crashes=training.crashes, converged=training.converged,
+                    best_throughput=(training.best_probe.throughput
+                                     if training.best_probe else None))
+
+    def _stage_tuning(self, session: TuningSession, work: _Work) -> None:
+        """The online tuning steps of §2.1.2, from the deployed config."""
+        request = session.request
+        work.deployed_config = self.guard.deployed_config(request.tenant)
+        session.tuning = work.tuner.tune(
+            request.hardware, work.tuning_workload,
+            steps=request.tune_steps, initial_config=work.deployed_config)
+
+    def _stage_verify(self, session: TuningSession, work: _Work) -> None:
+        """Measure the top candidates of a compressed session on the full
+        workload in one batch; the recommendation takes the winner."""
+        if not session.compression.compressed:
+            return
+        request = session.request
+        tuning = session.tuning
+        candidates = [(record.knobs, performance_score(record.performance))
+                      for record in tuning.records if not record.crashed]
+        candidates.append((tuning.best_config,
+                           performance_score(tuning.best)))
+        full_db = work.tuner.make_database(request.hardware, request.workload)
+        verification = ConfigVerifier(full_db).verify(candidates)
+        session.verification = verification
+        get_metrics().counter(
+            "service.verifications",
+            help="Staged full-mix verification batches run").inc()
+        winner = verification.winner_performance
+        self._audit(session, "verified",
+                    considered=verification.considered,
+                    promoted=verification.promoted,
+                    verified=verification.verified,
                     winner_throughput=(winner.throughput
                                        if winner is not None else None),
                     winner_latency=(winner.latency
                                     if winner is not None else None))
-                if session.verification.winner_config is not None:
-                    best_config = session.verification.winner_config
-                    best_perf = session.verification.winner_performance
 
-            session.recommendation = tuner.recommender.from_config(
-                best_config)
-            # Provenance: a one-shot session whose refinement converged
-            # back to the predicted config is served as "oneshot"; one the
-            # search improved upon is "refined"; otherwise warm/cold says
-            # how the RL session itself started.
-            if session.provisional is not None:
-                source = ("oneshot"
-                          if dict(session.recommendation.config)
-                          == dict(session.provisional.config)
-                          else "refined")
-                predicted_reward = session.provisional.predicted_reward
-            else:
-                source = ("warm" if session.warm_started_from is not None
-                          else "cold")
-                predicted_reward = None
-            trials_used = session.training.steps + len(session.tuning.records)
-            session.service_recommendation = ServiceRecommendation(
-                config=dict(session.recommendation.config),
-                source=source,
-                trials_used=trials_used,
-                predicted_reward=predicted_reward,
-                verified=(session.verification is not None
-                          and session.verification.winner_config
-                          is not None))
-            session._transition(SessionState.RECOMMENDED)
-            self._audit(
-                session, "recommended",
-                source=source,
-                trials_used=trials_used,
-                best_throughput=best_perf.throughput,
-                best_latency=best_perf.latency,
-                improvement=session.tuning.throughput_improvement)
+    def _stage_recommend(self, session: TuningSession, work: _Work) -> None:
+        """Recommend the best config, and keep the session's knowledge.
 
-            # Register the fine-tuned model for future warm starts, whatever
-            # the canary decides — the model is knowledge, not a deployment.
-            # The best (verified, when staged) config rides along in the
-            # metadata so HistoryStore.from_registry can mine it later.
-            if self.registry is not None:
-                registered = self.registry.register(
-                    tuner, workload, request.hardware,
-                    train_steps=session.training.steps,
+        The best config is the verified winner when verification found
+        one, else the tuning run's best.  The fine-tuned model is
+        registered for future warm starts whatever the canary decides —
+        the model is knowledge, not a deployment — with the best config
+        in its metadata for :meth:`HistoryStore.from_registry`; the
+        session's evaluations join the service's history.
+        """
+        request = session.request
+        workload = request.workload
+        tuning = session.tuning
+        verification = session.verification
+        verified = (verification is not None
+                    and verification.winner_config is not None)
+        if verified:
+            best_config = verification.winner_config
+            best_perf = verification.winner_performance
+        else:
+            best_config, best_perf = tuning.best_config, tuning.best
+        session.recommendation = work.tuner.recommender.from_config(
+            best_config)
+        # Provenance: a one-shot session whose refinement converged back
+        # to the predicted config is served as "oneshot"; one the search
+        # improved upon is "refined"; otherwise warm/cold says how the RL
+        # session itself started.
+        if session.provisional is not None:
+            source = ("oneshot" if dict(session.recommendation.config)
+                      == dict(session.provisional.config) else "refined")
+            predicted_reward = session.provisional.predicted_reward
+        else:
+            source = ("warm" if session.warm_started_from is not None
+                      else "cold")
+            predicted_reward = None
+        trials_used = session.training.steps + len(tuning.records)
+        session.service_recommendation = ServiceRecommendation(
+            config=dict(session.recommendation.config), source=source,
+            trials_used=trials_used, predicted_reward=predicted_reward,
+            verified=verified)
+        session._transition(SessionState.RECOMMENDED)
+        self._audit(session, "recommended", source=source,
+                    trials_used=trials_used,
                     best_throughput=best_perf.throughput,
                     best_latency=best_perf.latency,
-                    parent=session.warm_started_from,
-                    metadata={"session": session.id, "tenant": tenant,
-                              "best_config": dict(best_config)},
-                    model_id=(f"{workload.name}-{request.hardware.name}-"
-                              f"{session.id}"))
-                session.model_id = registered.model_id
-                self._audit(session, "model-registered",
-                            model=registered.model_id)
+                    improvement=tuning.throughput_improvement)
+        if self.registry is not None:
+            registered = self.registry.register(
+                work.tuner, workload, request.hardware,
+                train_steps=session.training.steps,
+                best_throughput=best_perf.throughput,
+                best_latency=best_perf.latency,
+                parent=session.warm_started_from,
+                metadata={"session": session.id, "tenant": request.tenant,
+                          "best_config": dict(best_config)},
+                model_id=(f"{workload.name}-{request.hardware.name}-"
+                          f"{session.id}"))
+            session.model_id = registered.model_id
+            self._audit(session, "model-registered",
+                        model=registered.model_id)
+        self.history.add_result(workload.signature(), tuning,
+                                source=f"session:{session.id}",
+                                workload=workload.name,
+                                hardware=request.hardware.name,
+                                metrics=work.incumbent_metrics)
 
-            # Grow the service's in-memory history with this session's
-            # evaluations so later reuse_history sessions bootstrap from
-            # it without re-mining the audit file.
-            self.history.add_result(workload.signature(), session.tuning,
-                                    source=f"session:{session.id}",
-                                    workload=workload.name,
-                                    hardware=request.hardware.name,
-                                    metrics=incumbent_metrics)
+    def _stage_canary(self, session: TuningSession, work: _Work) -> None:
+        """The recommendation must beat the tenant's live configuration
+        on a replica before it is deployed."""
+        request = session.request
+        tenant = request.tenant
+        database = work.tuner.make_database(request.hardware,
+                                            request.workload)
+        verdict = self.guard.canary(database, session.recommendation.config,
+                                    baseline_config=work.deployed_config)
+        session.verdict = verdict
+        self._audit(session, "canary", **verdict.as_dict())
+        if verdict.accepted:
+            self.guard.deploy(tenant, session.recommendation.config, verdict)
+            session.deployed = True
+            session.service_recommendation = (
+                session.service_recommendation.with_verified(True))
+            self._audit(session, "deployed", tenant=tenant)
+            session._transition(SessionState.DEPLOYED)
+            work.outcome = "deployed"
+        elif session.provisional is not None and session.provisional.verified:
+            # One-shot session whose refinement could not beat the
+            # provisionally deployed prediction: the prediction is already
+            # live and canary-verified, so the session still succeeds —
+            # with the one-shot config as its outcome.
+            session.service_recommendation = session.provisional
+            session.recommendation = work.tuner.recommender.from_config(
+                session.provisional.config)
+            session.deployed = True
+            get_metrics().counter(
+                "service.oneshot_retained",
+                help="Sessions whose refinement failed to beat the "
+                     "deployed one-shot prediction").inc()
+            self._audit(session, "deployment-blocked",
+                        reason=verdict.reason, detail=verdict.detail,
+                        retained="oneshot")
+            self._audit(session, "deployed", tenant=tenant,
+                        retained="oneshot")
+            session._transition(SessionState.DEPLOYED)
+            work.outcome = "oneshot-retained"
+        else:
+            session.error = f"canary rejected: {verdict.reason}"
+            self._audit(session, "deployment-blocked",
+                        reason=verdict.reason, detail=verdict.detail)
+            session._transition(SessionState.FAILED)
+            work.outcome = "blocked"
 
-            # Canary + deployment: the recommendation must beat the tenant's
-            # live configuration on a replica before it goes live.
-            with tracer.span("service.canary"), \
-                    profile_block("service.canary",
-                                  phases=session.phase_seconds,
-                                  phase_key="canary"):
-                database = tuner.make_database(request.hardware, workload)
-                verdict = self.guard.canary(database,
-                                            session.recommendation.config,
-                                            baseline_config=deployed_config)
-            session.verdict = verdict
-            self._audit(session, "canary", **verdict.as_dict())
-            if verdict.accepted:
-                self.guard.deploy(tenant, session.recommendation.config,
-                                  verdict)
-                session.deployed = True
-                session.service_recommendation = (
-                    session.service_recommendation.with_verified(True))
-                self._audit(session, "deployed", tenant=tenant)
-                session._transition(SessionState.DEPLOYED)
-                root.set_tag("outcome", "deployed")
-            elif (session.provisional is not None
-                    and session.provisional.verified):
-                # One-shot session whose refinement could not beat the
-                # provisionally deployed prediction: the prediction is
-                # already live and canary-verified, so the session still
-                # succeeds — with the one-shot config as its outcome.
-                session.service_recommendation = session.provisional
-                session.recommendation = tuner.recommender.from_config(
-                    session.provisional.config)
-                session.deployed = True
-                get_metrics().counter(
-                    "service.oneshot_retained",
-                    help="Sessions whose refinement failed to beat the "
-                         "deployed one-shot prediction").inc()
-                self._audit(session, "deployment-blocked",
-                            reason=verdict.reason, detail=verdict.detail,
-                            retained="oneshot")
-                self._audit(session, "deployed", tenant=tenant,
-                            retained="oneshot")
-                session._transition(SessionState.DEPLOYED)
-                root.set_tag("outcome", "oneshot-retained")
-            else:
-                session.error = f"canary rejected: {verdict.reason}"
-                self._audit(session, "deployment-blocked",
-                            reason=verdict.reason, detail=verdict.detail)
-                session._transition(SessionState.FAILED)
-                root.set_tag("outcome", "blocked")

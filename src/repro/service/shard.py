@@ -57,7 +57,7 @@ import tempfile
 import threading
 import time
 from bisect import bisect_right
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from hashlib import sha256
 from typing import Callable, Dict, List, Optional
 
@@ -136,27 +136,10 @@ def request_to_wire(request: TuningRequest) -> Dict[str, object]:
         workload_wire = {"kind": "named", "name": workload.name}
     else:
         workload_wire = {"kind": "spec", "spec": asdict(workload)}
-    return {
-        "hardware": asdict(request.hardware),
-        "workload": workload_wire,
-        "tenant": request.tenant,
-        "priority": request.priority,
-        "train_steps": request.train_steps,
-        "tune_steps": request.tune_steps,
-        "current_config": (dict(request.current_config)
-                           if request.current_config is not None else None),
-        "seed": request.seed,
-        "noise": request.noise,
-        "mode": request.mode,
-        "warm_start": request.warm_start,
-        "compress": request.compress,
-        "compress_components": request.compress_components,
-        "reuse_history": request.reuse_history,
-        "history_seeds": request.history_seeds,
-        "history_replay": request.history_replay,
-        "verify_top_k": request.verify_top_k,
-        "train_kwargs": dict(request.train_kwargs),
-    }
+    wire = {field.name: getattr(request, field.name)
+            for field in fields(request)}
+    wire.update(hardware=asdict(request.hardware), workload=workload_wire)
+    return wire
 
 
 def request_from_wire(wire: Dict[str, object]) -> TuningRequest:

@@ -30,7 +30,6 @@ from repro.obs import (
     get_tracer,
     obs_report,
     profile_block,
-    profiled,
     set_tracer,
     use_tracer,
 )
@@ -140,16 +139,6 @@ class TestProfiling:
             pass
         assert registry.histogram("train.probe").count == 2
         assert phases["probe"] >= 0.005
-
-    def test_profiled_decorator(self):
-        registry = MetricsRegistry()
-
-        @profiled("my.func", registry=registry)
-        def work():
-            return 42
-
-        assert work() == 42
-        assert registry.histogram("my.func").count == 1
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from repro.service import (
     TuningService,
 )
 from repro.service.frontdoor import ServiceFrontDoor, http_request
+from repro.service.server import MODES
 
 TRAIN_KWARGS = {"probe_every": 1000, "episode_length": 2,
                 "warmup_steps": 1, "stop_on_convergence": False}
@@ -337,28 +338,17 @@ class TestRequestModes:
         return TuningRequest(**kwargs)
 
     def test_mode_defaults(self):
+        """``mode`` defaults to ``full`` and takes the modes of
+        :data:`MODES` only; every mode runs the full session's stages,
+        in their order, plus its own."""
         assert self._request().mode == "full"
-        full = self._request(mode="full")
-        assert (full.warm_start, full.compress, full.reuse_history) == \
-            (True, False, False)
-        refine = self._request(mode="refine")
-        assert (refine.warm_start, refine.reuse_history) == (True, True)
-        oneshot = self._request(mode="oneshot")
-        assert oneshot.compress is False
-        assert oneshot.reuse_history is True
-
-    def test_explicit_flags_override_mode_defaults(self):
-        request = self._request(mode="full", reuse_history=True)
-        assert request.reuse_history is True
-
-    def test_contradictions_rejected(self):
+        assert list(MODES) == ["full", "refine", "oneshot", "compress"]
+        for mode, stages in MODES.items():
+            assert self._request(mode=mode).mode == mode
+            assert [stage for stage in stages
+                    if stage in MODES["full"]] == list(MODES["full"])
         with pytest.raises(ValueError, match="mode"):
             self._request(mode="psychic")
-        with pytest.raises(ValueError, match="refine"):
-            self._request(mode="refine", warm_start=False,
-                          reuse_history=False)
-        with pytest.raises(ValueError, match="canary"):
-            self._request(mode="oneshot", compress=True)
 
 
 # ---------------------------------------------------------------------------

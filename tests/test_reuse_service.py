@@ -1,9 +1,10 @@
 """Service-level evaluation economy, audit persistence, registry weights.
 
-* a ``compress=True`` session tunes on the compressed mix, stage-verifies
-  before recommending, and leaves ``compressed``/``verified`` audit
-  events plus a ``best_config`` in the registry metadata;
-* a ``reuse_history=True`` session bootstraps from the service's history
+* a ``mode="compress"`` session tunes on the compressed mix,
+  stage-verifies before recommending, and leaves ``compressed``/
+  ``verified`` audit events plus a ``best_config`` in the registry
+  metadata;
+* a ``mode="refine"`` session bootstraps from the service's history
   store (fed by the first session) and audits ``history-bootstrap``;
 * `HistoryStore.from_audit` rebuilds the corpus from the *real* audit
   JSONL the service wrote;
@@ -68,15 +69,14 @@ class TestCompressedSession:
         service = _service(tmp_path)
         with service:
             session = service.wait(service.submit(_request(
-                _mix(), compress=True, compress_components=1,
-                verify_top_k=2)), timeout=600)
+                _mix(), mode="compress")), timeout=600)
         assert session.state == SessionState.DEPLOYED
         status = session.status()
         assert status["compression"]["components_kept"] == 1
         assert status["compression"]["components_total"] == 3
         assert status["compression"]["ratio"] == pytest.approx(1 / 3)
         verification = status["verification"]
-        assert verification["promoted"] <= 2
+        assert verification["promoted"] <= 3
         assert verification["full_evaluations"] == verification["promoted"]
 
         events = {e["event"] for e in service.audit.events(session.id)}
@@ -95,7 +95,7 @@ class TestCompressedSession:
         service = _service(tmp_path)
         with service:
             session = service.wait(service.submit(_request(
-                _mix(), compress=True, compress_components=1)), timeout=600)
+                _mix(), mode="compress")), timeout=600)
         assert session.state == SessionState.DEPLOYED
         entry = service.registry.entries()[-1]
         best_config = entry.metadata["best_config"]
@@ -106,13 +106,15 @@ class TestCompressedSession:
         assert mined.records()[0].config.keys() == best_config.keys()
 
     def test_plain_spec_request_can_compress(self, tmp_path):
-        """`compress=True` on a plain workload wraps it as a 1-mix (no-op)."""
+        """`mode="compress"` on a plain workload wraps it as a 1-mix
+        (no-op), and there is nothing to verify."""
         service = _service(tmp_path)
         with service:
             session = service.wait(service.submit(_request(
-                "sysbench-rw", compress=True)), timeout=600)
+                "sysbench-rw", mode="compress")), timeout=600)
         assert session.state == SessionState.DEPLOYED
         assert session.status()["compression"]["components_kept"] == 1
+        assert "verification" not in session.status()
 
 
 class TestHistoryReuseSession:
@@ -124,8 +126,7 @@ class TestHistoryReuseSession:
             assert first.state == SessionState.DEPLOYED
             assert len(service.history) > 0     # sessions feed the store
             second = service.wait(service.submit(_request(
-                _mix(), seed=6, reuse_history=True, history_seeds=3,
-                history_replay=4)), timeout=600)
+                _mix(), seed=6, mode="refine")), timeout=600)
         assert second.state == SessionState.DEPLOYED
         boot = second.status()["history_bootstrap"]
         assert boot["warmup_seeds"] >= 1
@@ -140,7 +141,7 @@ class TestHistoryReuseSession:
         service = _service(tmp_path)
         with service:
             session = service.wait(service.submit(_request(
-                "sysbench-rw", reuse_history=True)), timeout=600)
+                "sysbench-rw", mode="refine")), timeout=600)
         assert session.state == SessionState.DEPLOYED
         boot = session.status()["history_bootstrap"]
         assert boot["warmup_seeds"] == 0

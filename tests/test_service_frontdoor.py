@@ -184,7 +184,16 @@ class TestFrontDoorAPI:
 
     @pytest.mark.parametrize("field,value", [
         ("hardware", {}), ("hardware", ["CDB-A"]), ("noise", -1.0),
-        ("seed", -3), ("tenant", ["x"])])
+        ("seed", -3), ("tenant", ["x"]),
+        ("train_kwargs", {"bogus": 1}), ("train_kwargs", {"max_steps": 5}),
+        ("train_kwargs", {"episode_length": "x"}),
+        ("train_kwargs", {"episode_length": 0}),
+        ("train_kwargs", {"probe_every": 0}),
+        ("train_kwargs", {"warmup_seeds": "x"}), ("train_kwargs", None),
+        # Fields ``mode`` replaced: refused, not silently served as full.
+        ("warm_start", False), ("compress", True), ("reuse_history", True),
+        ("compress_components", 1), ("history_seeds", 3),
+        ("history_replay", 4), ("verify_top_k", 2)])
     def test_malformed_field_is_400_at_the_door(self, field, value):
         """Rejected before a session exists, not failed in a worker."""
         async def scenario():

@@ -147,7 +147,7 @@ class TestConsistentHashRing:
 # ---------------------------------------------------------------------------
 class TestWireCodec:
     def test_named_workload_roundtrip(self):
-        request = _request("t1", seed=7, priority=3, history_seeds=0,
+        request = _request("t1", seed=7, priority=3, mode="refine",
                            current_config={"max_connections": 500})
         clone = request_from_wire(request_to_wire(request))
         assert clone.workload == request.workload
@@ -155,7 +155,7 @@ class TestWireCodec:
         assert clone.tenant == "t1"
         assert clone.priority == 3
         assert clone.seed == 7
-        assert clone.history_seeds == 0
+        assert clone.mode == "refine"
         assert clone.current_config == {"max_connections": 500}
         assert clone.train_kwargs == request.train_kwargs
 
@@ -183,7 +183,6 @@ class TestWireCodec:
         assert wire["mode"] == "oneshot"
         clone = request_from_wire(wire)
         assert clone.mode == "oneshot"
-        assert clone.compress is False
         legacy = dict(wire)
         legacy.pop("mode")                  # a wire dict from before PR 10
         assert request_from_wire(legacy).mode == "full"
