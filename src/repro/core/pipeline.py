@@ -10,25 +10,25 @@
   with the best observed performance.
 
 Both pipelines are instrumented through :mod:`repro.obs`: one root span
-per run with child spans per phase (episode, probe, the per-step
-actor/critic update), per-phase histograms, and a
-:class:`~repro.core.results.Telemetry` block on every result.
+per run with child spans per phase (episode reset, step, probe, the
+per-step actor/critic update), per-phase histograms, and a
+:class:`~repro.core.results.Telemetry` block on every result.  Every
+duration they report is a span's ``wall_s``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import time
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .environment import StepResult, TuningEnvironment
 from .results import EvalRecord, Telemetry, TrainingResult, TuningResult
-from ..obs import get_tracer, profile_block
+from ..obs import get_metrics, get_tracer
 from ..rl.ddpg import DDPGAgent
-from ..rl.reward import PerformanceSample
+from ..rl.reward import PerformanceSample, performance_score
 
 __all__ = [
     "EvalRecord",
@@ -167,6 +167,7 @@ def offline_train(env: TuningEnvironment, agent: DDPGAgent,
     check_train_args({name: value for name, value in locals().items()
                       if name in _TRAIN_ARGS})
     tracer = get_tracer()
+    metrics = get_metrics()
     database = env.database
     evaluations_before = database.evaluations
     cache_hits_before = database.cache_hits
@@ -206,9 +207,7 @@ def offline_train(env: TuningEnvironment, agent: DDPGAgent,
 
     def _maybe_snapshot(perf: PerformanceSample | None) -> None:
         nonlocal best_score, best_probe, best_snapshot
-        if perf is None:
-            return
-        score = perf.throughput / max(perf.latency, 1e-9) ** 0.25
+        score = performance_score(perf)
         if score > best_score:
             best_score = score
             best_probe = perf
@@ -251,10 +250,12 @@ def offline_train(env: TuningEnvironment, agent: DDPGAgent,
                      warmup_steps=warmup_steps) as run_span:
         while steps < max_steps:
             episodes += 1
-            with tracer.span("offline_train.episode", episode=episodes), \
-                    profile_block("offline_train.reset",
-                                  phases=phase_timings, phase_key="reset"):
+            with tracer.span("offline_train.episode",
+                             episode=episodes) as reset_span:
                 state = env.reset()
+            metrics.histogram("offline_train.reset").observe(
+                reset_span.wall_s)
+            phase_timings["reset"] += reset_span.wall_s
             _update_normalizer(agent, state)
             if episodes == 1 and replay_seeds:
                 # Pre-fill the memory pool from history, anchored on the
@@ -274,94 +275,101 @@ def offline_train(env: TuningEnvironment, agent: DDPGAgent,
             for _ in range(episode_length):
                 if steps >= max_steps:
                     break
-                tick = time.perf_counter()
-                if steps < warmup_steps:
-                    action = warmup_plan[steps]
-                elif (global_best_vector is not None
-                        and agent.rng.random() < exploit_frac):
-                    # DBA-style move: adjust a handful of knobs of the best
-                    # configuration (isotropic perturbation of all 266 knobs
-                    # almost never improves a sharply-tuned config).  Half the
-                    # moves pick coordinates by the critic's |∇_a Q| — the
-                    # learned knob importance of §5.2.2 — and step along the
-                    # gradient sign; the rest explore random coordinates.
-                    action = global_best_vector.copy()
-                    exploit_moves += 1
-                    n_coords = int(agent.rng.integers(
-                        1, min(13, env.action_dim + 1)))
-                    move_kind = agent.rng.random()
-                    if move_kind < 0.5:
-                        # Line search.  Most probes target the knobs the critic
-                        # currently ranks important (|∇aQ|, the learned knob
-                        # importance of §5.2.2) so the impactful knobs get
-                        # several probes per run; the rest round-robin the full
-                        # catalog so nothing is starved.
-                        if exploit_moves % 40 == 0 and agent.train_steps > 0:
-                            grad = agent.action_gradient(state,
-                                                         global_best_vector)
-                            k = min(48, env.action_dim)
-                            focus_coords = np.argsort(np.abs(grad))[::-1][:k]
-                        if (focus_coords is not None
-                                and agent.rng.random() < 0.7):
-                            coord = int(agent.rng.choice(focus_coords))
+                with tracer.span("offline_train.step",
+                                 step=steps + 1) as step_span:
+                    if steps < warmup_steps:
+                        action = warmup_plan[steps]
+                    elif (global_best_vector is not None
+                            and agent.rng.random() < exploit_frac):
+                        # DBA-style move: adjust a handful of knobs of the
+                        # best configuration (isotropic perturbation of all
+                        # 266 knobs almost never improves a sharply-tuned
+                        # config).  Half the moves pick coordinates by the
+                        # critic's |∇_a Q| — the learned knob importance of
+                        # §5.2.2 — and step along the gradient sign; the
+                        # rest explore random coordinates.
+                        action = global_best_vector.copy()
+                        exploit_moves += 1
+                        n_coords = int(agent.rng.integers(
+                            1, min(13, env.action_dim + 1)))
+                        move_kind = agent.rng.random()
+                        if move_kind < 0.5:
+                            # Line search.  Most probes target the knobs the
+                            # critic currently ranks important (|∇aQ|, the
+                            # learned knob importance of §5.2.2) so the
+                            # impactful knobs get several probes per run;
+                            # the rest round-robin the full catalog so
+                            # nothing is starved.
+                            if (exploit_moves % 40 == 0
+                                    and agent.train_steps > 0):
+                                grad = agent.action_gradient(
+                                    state, global_best_vector)
+                                k = min(48, env.action_dim)
+                                focus_coords = np.argsort(
+                                    np.abs(grad))[::-1][:k]
+                            if (focus_coords is not None
+                                    and agent.rng.random() < 0.7):
+                                coord = int(agent.rng.choice(focus_coords))
+                            else:
+                                coord = exploit_moves % env.action_dim
+                            action[coord] = agent.rng.random()
+                        elif move_kind < 0.75 and agent.train_steps > 0:
+                            grad = agent.action_gradient(state, action)
+                            order = np.argsort(np.abs(grad))[::-1]
+                            coords = order[:n_coords]
+                            step = (0.08 * np.sign(grad[coords])
+                                    + 0.05 * agent.rng.standard_normal(
+                                        n_coords))
+                            action[coords] = np.clip(action[coords] + step,
+                                                     0.0, 1.0)
                         else:
-                            coord = exploit_moves % env.action_dim
-                        action[coord] = agent.rng.random()
-                    elif move_kind < 0.75 and agent.train_steps > 0:
-                        grad = agent.action_gradient(state, action)
-                        order = np.argsort(np.abs(grad))[::-1]
-                        coords = order[:n_coords]
-                        step = (0.08 * np.sign(grad[coords])
-                                + 0.05 * agent.rng.standard_normal(n_coords))
-                        action[coords] = np.clip(action[coords] + step,
-                                                 0.0, 1.0)
+                            coords = agent.rng.choice(env.action_dim,
+                                                      size=n_coords,
+                                                      replace=False)
+                            fresh = agent.rng.random(n_coords) < 0.3
+                            action[coords] = np.where(
+                                fresh,
+                                agent.rng.random(n_coords),
+                                np.clip(action[coords]
+                                        + 0.2 * agent.rng.standard_normal(
+                                            n_coords),
+                                        0.0, 1.0))
                     else:
-                        coords = agent.rng.choice(env.action_dim,
-                                                  size=n_coords,
-                                                  replace=False)
-                        fresh = agent.rng.random(n_coords) < 0.3
-                        action[coords] = np.where(
-                            fresh,
-                            agent.rng.random(n_coords),
-                            np.clip(action[coords]
-                                    + 0.2 * agent.rng.standard_normal(n_coords),
-                                    0.0, 1.0))
-                else:
-                    action = agent.act(state, explore=True)
-                result = env.step(action)
-                if result.crashed:
-                    # The instance restarted with defaults: the correlated
-                    # exploration noise was walking a region that just crashed,
-                    # so start a fresh noise sequence for the fresh instance.
-                    agent.reset_noise()
-                if result.performance is not None:
-                    step_score = (result.performance.throughput
-                                  / max(result.performance.latency,
-                                        1e-9) ** 0.25)
+                        action = agent.act(state, explore=True)
+                    result = env.step(action)
+                    if result.crashed:
+                        # The instance restarted with defaults: the
+                        # correlated exploration noise was walking a region
+                        # that just crashed, so start a fresh noise
+                        # sequence for the fresh instance.
+                        agent.reset_noise()
+                    step_score = performance_score(result.performance)
                     if step_score > global_best_score:
                         global_best_score = step_score
                         global_best_vector = action.copy()
-                _update_normalizer(agent, result.state)
-                agent.observe(state, action, result.reward, result.state,
-                              done=result.crashed)
-                with tracer.span("offline_train.update",
-                                 updates=updates_per_step):
-                    for _ in range(updates_per_step):
-                        agent.update()
-                    if global_best_vector is not None and steps % 2 == 0:
-                        agent.imitate(state, global_best_vector)
-                rewards.append(result.reward)
-                state = result.state
-                steps += 1
+                    _update_normalizer(agent, result.state)
+                    agent.observe(state, action, result.reward, result.state,
+                                  done=result.crashed)
+                    with tracer.span("offline_train.update",
+                                     updates=updates_per_step):
+                        for _ in range(updates_per_step):
+                            agent.update()
+                        if global_best_vector is not None \
+                                and steps % 2 == 0:
+                            agent.imitate(state, global_best_vector)
+                    rewards.append(result.reward)
+                    state = result.state
+                    steps += 1
                 phase = "warmup" if steps <= warmup_steps else "train"
-                phase_timings[phase] += time.perf_counter() - tick
+                phase_timings[phase] += step_span.wall_s
 
                 if steps % probe_every == 0:
-                    with tracer.span("offline_train.probe", step=steps), \
-                            profile_block("offline_train.probe",
-                                          phases=phase_timings,
-                                          phase_key="probe"):
+                    with tracer.span("offline_train.probe",
+                                     step=steps) as probe_span:
                         probe = _greedy_probe(env, agent)
+                    metrics.histogram("offline_train.probe").observe(
+                        probe_span.wall_s)
+                    phase_timings["probe"] += probe_span.wall_s
                     perf = probe.performance
                     if perf is None:  # greedy policy crashed the instance
                         probe_throughputs.append(0.0)
@@ -413,12 +421,12 @@ def online_tune(env: TuningEnvironment, agent: DDPGAgent, steps: int = 5,
     database = env.database
     evaluations_before = database.evaluations
     cache_hits_before = database.cache_hits
-    phase_timings: Dict[str, float] = {}
     with tracer.span("online_tune", steps=steps,
                      fine_tune=fine_tune) as run_span:
-        with profile_block("online_tune.reset", phases=phase_timings,
-                           phase_key="reset"):
+        with tracer.span("online_tune.reset") as reset_span:
             state = env.reset(initial_config=initial_config)
+        get_metrics().histogram("online_tune.reset").observe(
+            reset_span.wall_s)
         _update_normalizer(agent, state)
         assert env.initial_performance is not None
         initial = env.initial_performance
@@ -429,43 +437,42 @@ def online_tune(env: TuningEnvironment, agent: DDPGAgent, steps: int = 5,
         session_best_score = -np.inf
         step_walls: List[float] = []
         for step_index in range(steps):
-            tick = time.perf_counter()
-            if session_best is not None and step_index == 0:
-                # Measure the memory pool's best-known configuration first so
-                # the session baseline is real before anything can displace it.
-                action = session_best.copy()
-            elif session_best is not None and step_index >= 2:
-                # Greedy local refinement around the session's best so far —
-                # the fine-tuning the paper's accumulated trying steps perform.
-                action = session_best.copy()
-                coords = agent.rng.choice(env.action_dim,
-                                          size=min(4, env.action_dim),
-                                          replace=False)
-                action[coords] = np.clip(
-                    action[coords]
-                    + 0.08 * agent.rng.standard_normal(coords.size),
-                    0.0, 1.0)
-            else:
-                action = agent.act(state, explore=explore)
-            result = env.step(action)
-            if result.performance is not None:
-                score = (result.performance.throughput
-                         / max(result.performance.latency, 1e-9) ** 0.25)
+            with tracer.span("online_tune.step",
+                             step=step_index + 1) as step_span:
+                if session_best is not None and step_index == 0:
+                    # Measure the memory pool's best-known configuration
+                    # first so the session baseline is real before
+                    # anything can displace it.
+                    action = session_best.copy()
+                elif session_best is not None and step_index >= 2:
+                    # Greedy local refinement around the session's best so
+                    # far — the fine-tuning the paper's accumulated trying
+                    # steps perform.
+                    action = session_best.copy()
+                    coords = agent.rng.choice(env.action_dim,
+                                              size=min(4, env.action_dim),
+                                              replace=False)
+                    action[coords] = np.clip(
+                        action[coords]
+                        + 0.08 * agent.rng.standard_normal(coords.size),
+                        0.0, 1.0)
+                else:
+                    action = agent.act(state, explore=explore)
+                result = env.step(action)
+                score = performance_score(result.performance)
                 if score > session_best_score:
                     session_best_score = score
                     session_best = action.copy()
-            _update_normalizer(agent, result.state)
-            if fine_tune:
-                with tracer.span("online_tune.update",
-                                 updates=updates_per_step):
-                    agent.observe(state, action, result.reward, result.state,
-                                  done=result.crashed)
-                    for _ in range(updates_per_step):
-                        agent.update()
-            state = result.state
-            step_walls.append(time.perf_counter() - tick)
-            phase_timings["steps"] = (phase_timings.get("steps", 0.0)
-                                      + step_walls[-1])
+                _update_normalizer(agent, result.state)
+                if fine_tune:
+                    with tracer.span("online_tune.update",
+                                     updates=updates_per_step):
+                        agent.observe(state, action, result.reward,
+                                      result.state, done=result.crashed)
+                        for _ in range(updates_per_step):
+                            agent.update()
+                state = result.state
+            step_walls.append(step_span.wall_s)
 
         best = env.best_performance
         best_config = env.best_config
@@ -476,8 +483,8 @@ def online_tune(env: TuningEnvironment, agent: DDPGAgent, steps: int = 5,
         telemetry.count("cache_hits", database.cache_hits - cache_hits_before)
         telemetry.count("crashes",
                         sum(1 for s in env.history if s.crashed))
-        for phase, seconds in phase_timings.items():
-            telemetry.add_phase(phase, seconds)
+        telemetry.add_phase("reset", reset_span.wall_s)
+        telemetry.add_phase("steps", sum(step_walls))
         records = [EvalRecord.from_step(s, wall_s=w)
                    for s, w in zip(env.history, step_walls)]
         run_span.set_tag("best_throughput", best.throughput)

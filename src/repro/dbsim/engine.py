@@ -43,7 +43,7 @@ from .metrics import EngineSnapshot, metrics_matrix
 from .mysql_knobs import MAJOR_KNOBS, mysql_registry
 from .numeric import FLOATS
 from .workload import WorkloadSpec
-from ..obs import get_metrics, get_tracer, profile_block
+from ..obs import get_metrics, get_tracer
 from ..rl.reward import PerformanceSample
 
 __all__ = ["DatabaseObservation", "SimulatedDatabase"]
@@ -326,9 +326,10 @@ class SimulatedDatabase:
 
     def _run_stress_batch(self, rows: np.ndarray, trials: List[int]) -> list:
         """Score validated registry-order rows under one stress-test span."""
-        with get_tracer().span("db.stress_test", size=len(trials)), \
-                profile_block("db.stress_test_seconds"):
-            return self._compute_many(rows, trials)
+        with get_tracer().span("db.stress_test", size=len(trials)) as span:
+            outcomes = self._compute_many(rows, trials)
+        get_metrics().histogram("db.stress_test_seconds").observe(span.wall_s)
+        return outcomes
 
     def _jitter_digest(self, trial: int, sorted_values: np.ndarray) -> bytes:
         """16-byte stable hash of (seed, trial, canonical full config).

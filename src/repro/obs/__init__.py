@@ -1,16 +1,17 @@
-"""Observability: tracing, metrics, profiling and logging for the system.
+"""Observability: tracing, metrics and logging for the system.
 
 The paper's Figure 2 control loop — controller ↔ agent ↔ CDB instance —
 is only tunable in production if every hop is visible.  This package is
 the single seam the rest of the repo instruments through:
 
 * :mod:`repro.obs.tracing` — hierarchical spans (trace id, span id,
-  parent, tags, wall/CPU time) with a zero-overhead no-op default and a
-  thread-safe JSONL :class:`SpanExporter`;
+  parent, tags, wall/CPU time) and a thread-safe JSONL
+  :class:`SpanExporter`.  A span is the one timer: the per-phase
+  histograms and the ``Telemetry`` blocks results carry are fed from
+  span ``wall_s``, and the default :class:`NullTracer`'s spans time
+  themselves without ids, stack or export;
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms with a Prometheus text exposition and a JSON snapshot;
-* :mod:`repro.obs.profiling` — ``profile_block`` feeding per-phase
-  histograms (and the ``Telemetry`` blocks results carry);
 * :mod:`repro.obs.logging` — the ``repro`` logger hierarchy and the
   console wiring the CLIs use instead of ``print()``;
 * :mod:`repro.obs.report` — the ``obs-report`` renderer (span tree +
@@ -38,10 +39,8 @@ from .metrics import (
     get_metrics,
     set_metrics,
 )
-from .profiling import profile_block
 from .report import load_jsonl, obs_report, render_metrics, render_trace
 from .tracing import (
-    NULL_SPAN,
     NullTracer,
     Span,
     SpanExporter,
@@ -62,12 +61,10 @@ __all__ = [
     "MetricsRegistry",
     "get_metrics",
     "set_metrics",
-    "profile_block",
     "load_jsonl",
     "obs_report",
     "render_metrics",
     "render_trace",
-    "NULL_SPAN",
     "NullTracer",
     "Span",
     "SpanExporter",

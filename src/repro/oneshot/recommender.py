@@ -13,7 +13,6 @@ refinement pass can seed the DDPG replay buffer with it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from .features import FeatureCodec
 from .model import FitResult, OneShotModel
+from ..obs import get_tracer
 
 __all__ = ["OneShotPrediction", "OneShotRecommender"]
 
@@ -125,16 +125,16 @@ class OneShotRecommender:
                 base_config: Optional[Mapping[str, float]] = None,
                 ) -> OneShotPrediction:
         """Predict a validated physical configuration for one tenant."""
-        start = time.perf_counter()
-        vec = self.codec.encode(signature, hardware, metrics)
-        action, score = self.model.predict(vec)
-        config = self.registry.validate(
-            self.registry.from_vector(action, base=base_config))
+        with get_tracer().span("oneshot.predict") as span:
+            vec = self.codec.encode(signature, hardware, metrics)
+            action, score = self.model.predict(vec)
+            config = self.registry.validate(
+                self.registry.from_vector(action, base=base_config))
         return OneShotPrediction(
             config=config,
             action=action,
             predicted_score=score,
-            latency_s=time.perf_counter() - start,
+            latency_s=span.wall_s,
         )
 
     # -- persistence -------------------------------------------------------

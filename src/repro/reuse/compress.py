@@ -34,6 +34,7 @@ from .mix import MixComponent, MixDatabase, TimeSlice, WorkloadMix
 from ..dbsim.hardware import HardwareSpec
 from ..dbsim.workload import signature_distance
 from ..obs import get_tracer
+from ..rl.reward import performance_score
 
 __all__ = ["SliceCompression", "CompressionResult", "WorkloadCompressor"]
 
@@ -240,10 +241,8 @@ class WorkloadCompressor:
         for full_obs, small_obs in zip(full, small):
             if full_obs is None or small_obs is None:
                 continue        # both crash identically; nothing to compare
-            full_score = (full_obs.throughput
-                          / max(full_obs.latency, 1e-9) ** 0.25)
-            small_score = (small_obs.throughput
-                           / max(small_obs.latency, 1e-9) ** 0.25)
+            full_score = performance_score(full_obs.performance)
+            small_score = performance_score(small_obs.performance)
             gaps.append(abs(small_score - full_score)
                         / max(abs(full_score), 1e-9))
         measured = float(np.mean(gaps)) if gaps else 0.0

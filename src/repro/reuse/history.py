@@ -27,7 +27,6 @@ All are free — no stress test runs until the session itself evaluates.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -37,17 +36,11 @@ import numpy as np
 from ..dbsim.knobs import KnobRegistry
 from ..dbsim.workload import WORKLOADS, signature_distance
 from ..obs import get_logger, get_tracer
+from ..rl.reward import performance_score
 
 __all__ = ["CorpusExample", "HistoryRecord", "HistoryStore"]
 
 logger = get_logger(__name__)
-
-
-def _score(throughput: float | None, latency: float | None) -> float:
-    """The pipeline's selection score: throughput / latency^0.25."""
-    if throughput is None or latency is None:
-        return -np.inf
-    return float(throughput) / max(float(latency), 1e-9) ** 0.25
 
 
 @dataclass(frozen=True)
@@ -68,7 +61,10 @@ class HistoryRecord:
 
     @property
     def score(self) -> float:
-        return _score(self.throughput, self.latency)
+        """The pipeline's selection score; ``-inf`` when unmeasured."""
+        if self.throughput is None or self.latency is None:
+            return -np.inf
+        return performance_score(self)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -116,13 +112,15 @@ class CorpusExample:
 
 
 def _iter_events(source) -> Iterable[Mapping[str, object]]:
-    """Audit events from a JSONL path, an AuditLog, or a record list."""
+    """Audit events from a JSONL path, an AuditLog, or a record list.
+
+    A path is read by :meth:`AuditLog.read_jsonl`, which skips a line
+    torn by a killed writer as crash recovery does.
+    """
     if isinstance(source, (str, os.PathLike)):
-        with open(os.fspath(source), "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
+        # Imported here: repro.service imports this module.
+        from ..service.audit import AuditLog
+        yield from AuditLog.read_jsonl(source)
     elif hasattr(source, "events"):     # duck-typed AuditLog
         yield from source.events()
     else:

@@ -24,18 +24,10 @@ from typing import Dict, List, Sequence, Tuple
 from .compress import CompressionResult, WorkloadCompressor
 from .mix import WorkloadMix
 from ..obs import get_metrics, get_tracer
-from ..rl.reward import PerformanceSample
+from ..rl.reward import PerformanceSample, performance_score
 
 __all__ = ["CandidateVerdict", "VerificationResult", "ConfigVerifier",
            "staged_tune", "StagedTuneResult"]
-
-
-def performance_score(performance: "PerformanceSample | None") -> float:
-    """The pipeline's selection score: throughput / latency^0.25."""
-    if performance is None:
-        return float("-inf")
-    return (performance.throughput
-            / max(performance.latency, 1e-9) ** 0.25)
 
 
 @dataclass(frozen=True)

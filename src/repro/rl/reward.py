@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "PerformanceSample",
+    "performance_score",
     "delta",
     "RewardFunction",
     "CDBTuneReward",
@@ -47,6 +48,17 @@ class PerformanceSample:
             raise ValueError("throughput must be non-negative")
         if self.latency < 0:
             raise ValueError("latency must be non-negative")
+
+
+def performance_score(performance: "PerformanceSample | None") -> float:
+    """The tuner's selection score, throughput / latency^0.25.
+
+    ``performance`` is anything with ``throughput`` and ``latency``
+    attributes; a missing measurement (``None``) scores ``-inf``.
+    """
+    if performance is None:
+        return float("-inf")
+    return performance.throughput / max(performance.latency, 1e-9) ** 0.25
 
 
 _DELTA_CLIP = 100.0  # ±10000 % change carries no additional signal

@@ -2,18 +2,19 @@
 
 Every externally-visible decision the service takes — queueing, warm-start
 provenance, canary verdicts, deployments, rollbacks — is recorded as one
-JSON object.  Events are held in memory for introspection and, when the
-log is constructed with a path, appended to a JSON-lines file so an
-operator can reconstruct any session after the fact.
+JSON object.  A log constructed with a path appends each record to a
+JSON-lines file, so an operator can reconstruct any session after the
+fact, and keeps no copy in memory: the file is the log, and
+:meth:`AuditLog.events` reads it back.  A log without a path holds its
+records in memory.
 
-Events carry a monotonically increasing ``seq`` instead of wall-clock
-timestamps by default, so audit trails of seeded runs are reproducible
-byte for byte; pass ``wallclock=True`` to add an ``ts`` field.  ``seq``
-is monotonic *per log instance*: when several processes append to one
-JSONL file (the sharded service), each writer's records carry its own
-``seq`` stream plus a ``src`` label (pass ``source=...``) to tell the
-streams apart — global order across writers is file position, not
-``seq``.
+Events carry a monotonically increasing ``seq`` and no wall-clock
+timestamp, so audit trails of seeded runs are reproducible byte for
+byte.  ``seq`` is monotonic *per log instance*: when several processes
+append to one JSONL file (the sharded service), each writer's records
+carry its own ``seq`` stream plus a ``src`` label (pass ``source=...``)
+to tell the streams apart — global order across writers is file
+position, not ``seq``.
 
 Persistence keeps one append descriptor open across emissions (reopening
 the file per event serializes every worker thread on filesystem
@@ -31,7 +32,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from typing import Dict, Iterator, List
 
 __all__ = ["AuditLog"]
@@ -54,46 +54,44 @@ def _jsonable(value: object) -> object:
 
 
 class AuditLog:
-    """Append-only, thread-safe event log with optional JSONL persistence."""
+    """Append-only, thread-safe event log: a JSONL file, or memory."""
 
     def __init__(self, path: str | os.PathLike | None = None,
-                 wallclock: bool = False,
                  source: str | None = None) -> None:
         self.path = os.fspath(path) if path is not None else None
-        self.wallclock = bool(wallclock)
         self.source = str(source) if source is not None else None
-        self._events: List[Dict[str, object]] = []
+        self._events: List[Dict[str, object]] = []   # only without a path
+        self._seq = 0
         self._lock = threading.Lock()
         self._fd: int | None = None
 
     def emit(self, session_id: str, event: str, **fields: object) -> Dict[str, object]:
-        """Record one event; returns the stored record."""
+        """Record one event; returns the record."""
         record: Dict[str, object] = {
             "session": str(session_id),
             "event": str(event),
         }
-        if self.wallclock:
-            record["ts"] = time.time()
         record.update({str(k): _jsonable(v) for k, v in fields.items()})
         with self._lock:
-            record = {"seq": len(self._events), **record}
+            head: Dict[str, object] = {"seq": self._seq}
             if self.source is not None:
-                record = {"seq": record["seq"], "src": self.source,
-                          **{k: v for k, v in record.items() if k != "seq"}}
-            self._events.append(record)
-            if self.path is not None:
-                if self._fd is None:
-                    self._fd = os.open(
-                        self.path,
-                        os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-                data = (json.dumps(record, sort_keys=False) + "\n").encode(
-                    "utf-8")
-                # os.write may write fewer bytes than asked (signal, disk
-                # pressure); a torn half-line would be silently dropped by
-                # read_jsonl on replay, so keep writing until the record
-                # is out whole.
-                while data:
-                    data = data[os.write(self._fd, data):]
+                head["src"] = self.source
+            record = {**head, **record}
+            self._seq += 1
+            if self.path is None:
+                self._events.append(record)
+                return record
+            if self._fd is None:
+                self._fd = os.open(
+                    self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+            data = (json.dumps(record, sort_keys=False) + "\n").encode(
+                "utf-8")
+            # os.write may write fewer bytes than asked (signal, disk
+            # pressure); a torn half-line would be silently dropped by
+            # read_jsonl on replay, so keep writing until the record is
+            # out whole.
+            while data:
+                data = data[os.write(self._fd, data):]
         return record
 
     def close(self) -> None:
@@ -118,16 +116,26 @@ class AuditLog:
     # -- introspection -----------------------------------------------------
     def events(self, session_id: str | None = None,
                event: str | None = None) -> List[Dict[str, object]]:
-        """Events so far, optionally filtered by session and/or kind."""
-        with self._lock:
-            snapshot = list(self._events)
-        return [r for r in snapshot
+        """Events so far, optionally filtered by session and/or kind.
+
+        A file-backed log reads its file, so the result holds every
+        record in it, whichever writer appended it (the sharded service's
+        parent and shards share one file).
+        """
+        if self.path is None:
+            with self._lock:
+                records = list(self._events)
+        else:
+            try:
+                records = self.read_jsonl(self.path)
+            except FileNotFoundError:       # nothing emitted yet
+                records = []
+        return [r for r in records
                 if (session_id is None or r["session"] == session_id)
                 and (event is None or r["event"] == event)]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
+        return len(self.events())
 
     def __iter__(self) -> Iterator[Dict[str, object]]:
         return iter(self.events())

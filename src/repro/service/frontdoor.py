@@ -337,7 +337,6 @@ class ServiceFrontDoor:
         tracer = get_tracer()
         metrics = get_metrics()
         trace_id = tracer.new_trace_id()
-        started = time.perf_counter()
         metrics.counter("frontdoor.requests",
                         help="HTTP requests accepted").inc()
         with tracer.root_span("frontdoor.request", trace_id=trace_id,
@@ -354,7 +353,7 @@ class ServiceFrontDoor:
             span.set_tag("status", status)
         metrics.histogram("frontdoor.request_seconds",
                           help="HTTP request handling latency").observe(
-            time.perf_counter() - started)
+            span.wall_s)
         return status, payload, extra
 
     def _route(self, method: str, path: str, body: bytes, trace_id: str | None,
@@ -550,7 +549,10 @@ async def http_request(host: str, port: int, method: str, path: str,
                        body: object = None,
                        timeout: float = 30.0,
                        ) -> Tuple[int, Dict[str, str], object]:
-    """Minimal stdlib HTTP client for the front door (benchmarks, tests).
+    """Minimal stdlib HTTP client for the front door, used by the tests.
+
+    ``perfbench`` does not use it: its load generator carries its own
+    HTTP code so that a change to the service cannot change the client.
 
     Returns ``(status, headers, payload)`` where ``payload`` is parsed
     JSON for ``application/json`` responses and raw text otherwise.

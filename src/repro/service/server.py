@@ -395,15 +395,6 @@ class TuningService:
         the first session of the day bootstrap warm.
     workers:
         Worker-thread count — the number of sessions tuned concurrently.
-    warm_start_max_distance:
-        Registry matches farther than this (workload-signature distance +
-        hardware distance) cold-start instead.  The default accepts the
-        same workload on resized hardware (Figures 10–11) but not a
-        different workload family.
-    warm_start_budget_frac:
-        Fraction of the requested ``train_steps`` a warm-started session
-        spends fine-tuning (§5.3: fine-tuning needs far fewer iterations
-        than cold training).
     oneshot:
         A fitted :class:`~repro.oneshot.OneShotRecommender`; ``None``
         (default) disables the one-shot stage — ``mode="oneshot"``
@@ -411,10 +402,6 @@ class TuningService:
         ``oneshot-unavailable`` audit record.  Assignable after
         construction (``service.oneshot = ...``), e.g. once the first
         corpus has been mined.
-    oneshot_budget_frac:
-        Fraction of the (possibly already warm-start-reduced) training
-        budget a one-shot session spends on its refinement pass — the
-        prediction replaces most of the search, E2ETune-style.
     autostart:
         Spawn workers on the first :meth:`submit` (default).  With
         ``autostart=False`` submissions only queue until :meth:`start` —
@@ -428,24 +415,31 @@ class TuningService:
         front door) instead of raising :class:`KeyError`.
     """
 
+    #: Registry matches farther than this (workload-signature distance +
+    #: hardware distance) cold-start instead: the same workload on resized
+    #: hardware (Figures 10–11) warm-starts, a different workload family
+    #: does not.
+    warm_start_max_distance = 0.35
+    #: Fraction of the requested ``train_steps`` a warm-started session
+    #: spends fine-tuning (§5.3: fine-tuning needs far fewer iterations
+    #: than cold training).
+    warm_start_budget_frac = 0.5
+    #: Fraction of the (possibly already warm-start-reduced) training
+    #: budget a one-shot session spends on its refinement pass — the
+    #: prediction replaces most of the search, E2ETune-style.
+    oneshot_budget_frac = 0.5
+
     def __init__(self, registry: ModelRegistry | None = None,
                  guard: SafetyGuard | None = None,
                  audit: AuditLog | None = None,
                  history: HistoryStore | None = None,
                  workers: int = 2,
-                 warm_start_max_distance: float = 0.35,
-                 warm_start_budget_frac: float = 0.5,
                  oneshot=None,
-                 oneshot_budget_frac: float = 0.5,
                  tuner_factory: TunerFactory | None = None,
                  autostart: bool = True,
                  session_retention: int | None = None) -> None:
         if workers <= 0:
             raise ValueError("workers must be positive")
-        if not 0.0 < warm_start_budget_frac <= 1.0:
-            raise ValueError("warm_start_budget_frac must be in (0, 1]")
-        if not 0.0 < oneshot_budget_frac <= 1.0:
-            raise ValueError("oneshot_budget_frac must be in (0, 1]")
         if session_retention is not None and int(session_retention) < 1:
             raise ValueError("session_retention must be at least 1")
         self.registry = registry
@@ -453,10 +447,7 @@ class TuningService:
         self.audit = audit if audit is not None else AuditLog()
         self.history = history if history is not None else HistoryStore()
         self.workers = int(workers)
-        self.warm_start_max_distance = float(warm_start_max_distance)
-        self.warm_start_budget_frac = float(warm_start_budget_frac)
         self.oneshot = oneshot
-        self.oneshot_budget_frac = float(oneshot_budget_frac)
         self.tuner_factory = tuner_factory or _default_tuner_factory
         self.autostart = bool(autostart)
         self.session_retention = (None if session_retention is None
@@ -544,6 +535,10 @@ class TuningService:
         supervisor passes the originally acknowledged id when it replays
         recovered sessions into a respawned shard, so clients keep
         polling the id they were given.
+
+        The ``queued`` audit record is written before the session enters
+        the queue, so no worker can audit the session ahead of it; when
+        that write fails, submit raises and nothing is queued.
         """
         tracer = get_tracer()
         with self._cond:
@@ -561,6 +556,16 @@ class TuningService:
                 else f"s{self._seq:04d}", request)
             session.trace_id = (trace_id if trace_id is not None
                                 else tracer.new_trace_id())
+            with tracer.root_span("service.submit",
+                                  trace_id=session.trace_id,
+                                  session=session.id, tenant=request.tenant,
+                                  priority=request.priority):
+                self._audit(session, "queued", tenant=request.tenant,
+                            workload=request.workload.name,
+                            hardware=request.hardware.name,
+                            priority=request.priority,
+                            train_steps=request.train_steps,
+                            signature=request.workload.signature())
             self._sessions[session.id] = session
             heapq.heappush(self._queue,
                            (-int(request.priority), self._seq, session))
@@ -571,15 +576,6 @@ class TuningService:
                         help="Sessions accepted by submit()").inc()
         metrics.gauge("service.queue_depth",
                       help="Sessions queued, not yet picked up").set(depth)
-        with tracer.root_span("service.submit", trace_id=session.trace_id,
-                              session=session.id, tenant=request.tenant,
-                              priority=request.priority):
-            self._audit(session, "queued", tenant=request.tenant,
-                        workload=request.workload.name,
-                        hardware=request.hardware.name,
-                        priority=request.priority,
-                        train_steps=request.train_steps,
-                        signature=request.workload.signature())
         if self.autostart and not self._started:
             self.start()
         return session.id
@@ -633,8 +629,8 @@ class TuningService:
     def workers_alive(self) -> int:
         """Worker threads currently running (== ``workers`` when healthy).
 
-        A shrinking pool means a worker died on an unhandled error — the
-        load benchmark treats any shrink as a failure.
+        A shrinking pool means a worker died on an unhandled error; the
+        front door's ``/v1/healthz`` reports this count.
         """
         with self._cond:
             threads = list(self._threads)
@@ -812,9 +808,9 @@ class TuningService:
     def _process(self, session: TuningSession) -> None:
         """Run the stages of the session's mode (:data:`MODES`) in order.
 
-        Each stage runs under its own ``service.<stage>`` span, and its
-        wall time goes to the ``service.<stage>`` histogram and to
-        ``phase_seconds[<stage>]``.
+        Each stage runs under its own ``service.<stage>`` span, whose wall
+        time goes to the ``service.<stage>`` histogram and to
+        ``phase_seconds[<stage>]``, also when the stage fails.
         """
         request = session.request
         tracer = get_tracer()
@@ -830,14 +826,14 @@ class TuningService:
             for stage in MODES[request.mode]:
                 if stage in _ENTRY_STATES:
                     session._transition(_ENTRY_STATES[stage])
-                start = time.perf_counter()
+                span = tracer.span(f"service.{stage}")
                 try:
-                    with tracer.span(f"service.{stage}"):
+                    with span:
                         getattr(self, f"_stage_{stage}")(session, work)
                 finally:
-                    seconds = time.perf_counter() - start
-                    metrics.histogram(f"service.{stage}").observe(seconds)
-                    session.phase_seconds[stage] = seconds
+                    metrics.histogram(f"service.{stage}").observe(
+                        span.wall_s)
+                    session.phase_seconds[stage] = span.wall_s
             root.set_tag("outcome", work.outcome)
 
     def _stage_warmup(self, session: TuningSession, work: _Work) -> None:

@@ -1,4 +1,4 @@
-"""Observability layer: tracing, metrics, profiling, reporting.
+"""Observability layer: tracing, metrics, phase timing, reporting.
 
 Covers the acceptance points of the obs subsystem:
 
@@ -7,6 +7,7 @@ Covers the acceptance points of the obs subsystem:
 * SpanExporter emits valid JSONL, one record per finished span;
 * span parent/child integrity on one thread and across service worker
   threads joining a session trace;
+* phase seconds and phase histograms are span wall times;
 * the no-op default tracer adds bounded overhead to a smoke-sized
   ``offline_train`` run (<5%).
 """
@@ -21,7 +22,6 @@ import pytest
 from repro.core.tuner import CDBTune
 from repro.dbsim.hardware import CDB_A
 from repro.obs import (
-    NULL_SPAN,
     Histogram,
     MetricsRegistry,
     NullTracer,
@@ -29,7 +29,7 @@ from repro.obs import (
     Tracer,
     get_tracer,
     obs_report,
-    profile_block,
+    set_metrics,
     set_tracer,
     use_tracer,
 )
@@ -127,18 +127,45 @@ class TestMetricsRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Profiling
+# Phase timing
 # ---------------------------------------------------------------------------
-class TestProfiling:
-    def test_profile_block_feeds_histogram_and_phases(self):
+class TestPhaseTiming:
+    def test_phase_seconds_are_span_walls(self):
+        """``phase_seconds`` and the phase histograms read span wall times."""
         registry = MetricsRegistry()
-        phases = {}
-        with profile_block("train.probe", registry=registry, phases=phases):
-            time.sleep(0.005)
-        with profile_block("train.probe", registry=registry, phases=phases):
-            pass
-        assert registry.histogram("train.probe").count == 2
-        assert phases["probe"] >= 0.005
+        previous = set_metrics(registry)
+        try:
+            with use_tracer(Tracer()) as tracer:
+                tuner = CDBTune(seed=0, noise=0.0, actor_hidden=(16, 16),
+                                critic_hidden=(16, 16),
+                                critic_branch_width=8, batch_size=8,
+                                prioritized_replay=False)
+                result = tuner.offline_train(
+                    CDB_A, "sysbench-rw", max_steps=12, probe_every=6,
+                    episode_length=6, warmup_steps=4,
+                    stop_on_convergence=False)
+                tuned = tuner.tune(CDB_A, "sysbench-rw", steps=2)
+        finally:
+            set_metrics(previous)
+
+        def walls(name):
+            return sum(r["wall_s"] for r in tracer.spans(name=name))
+
+        phases = result.telemetry.phase_seconds
+        assert phases["reset"] == pytest.approx(
+            walls("offline_train.episode"))
+        assert phases["warmup"] + phases["train"] == pytest.approx(
+            walls("offline_train.step"))
+        assert phases["probe"] == pytest.approx(walls("offline_train.probe"))
+        probes = registry.histogram("offline_train.probe")
+        assert probes.count == 2
+        assert probes.sum == pytest.approx(phases["probe"])
+        assert tuned.telemetry.phase_seconds["steps"] == pytest.approx(
+            walls("online_tune.step"))
+        assert [r.wall_s for r in tuned.records] == [
+            r["wall_s"] for r in tracer.spans(name="online_tune.step")]
+        assert registry.histogram("db.stress_test_seconds").sum == \
+            pytest.approx(walls("db.stress_test"))
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +228,24 @@ class TestTracer:
         assert len({r["span"] for r in records}) == 8
 
     def test_null_tracer_is_inert(self):
+        """Null spans time themselves: no ids, no stack, nothing kept."""
         tracer = NullTracer()
         assert tracer.new_trace_id() is None
         assert tracer.current() is None
         assert tracer.current_trace_id() is None
         span = tracer.span("anything", tag=1)
-        assert span is NULL_SPAN
-        assert tracer.root_span("r") is NULL_SPAN
         with span as s:
+            assert s is span
             assert s.set_tag("k", "v") is s
+            assert tracer.current() is None
+            time.sleep(0.002)
+        assert span.wall_s >= 0.002
+        with tracer.root_span("r", trace_id="t0001") as root:
+            pass
+        assert root is not span and root.wall_s >= 0.0
+        for each in (span, root):
+            assert each.trace_id is None
+            assert each.span_id is None and each.parent_id is None
         assert tracer.spans() == []
 
     def test_use_tracer_restores_previous(self):

@@ -168,6 +168,22 @@ class TestHistoryReuseSession:
         seeds = mined.probe_seeds(_mix().signature(), tuner.registry, k=4)
         assert seeds.shape[0] >= 1
 
+    def test_history_store_skips_a_torn_audit_line(self, tmp_path):
+        """A SIGKILLed shard can leave a torn line that other writers then
+        append after; mining skips it, as crash recovery does."""
+        service = _service(tmp_path)
+        with service:
+            session = service.wait(service.submit(_request(_mix())),
+                                   timeout=600)
+        service.audit.close()
+        path = tmp_path / "audit.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(1, '{"session": "s9", "event": "que\n')
+        path.write_text("".join(lines))
+        assert len(AuditLog.read_jsonl(path)) == len(lines) - 1
+        mined = HistoryStore.from_audit(path)
+        assert len(mined) == len(session.tuning.records)
+
 
 class TestAuditLogPersistence:
     def test_keeps_one_append_handle_and_flushes(self, tmp_path):

@@ -17,6 +17,7 @@ import json
 import os
 import threading
 import time
+import tracemalloc
 from dataclasses import asdict
 
 import pytest
@@ -418,6 +419,40 @@ class TestAuditLog:
         # Unlabelled logs keep the original record shape.
         assert "src" not in AuditLog().emit("s1", "queued")
 
+    def test_file_backed_log_reads_its_file(self, tmp_path):
+        """With a path the file is the log: ``events()`` and ``len()``
+        read it, so they see every writer's records, and a new log on
+        the file sees what an earlier one wrote."""
+        path = tmp_path / "audit.jsonl"
+        parent = AuditLog(path=path, source="parent")
+        shard = AuditLog(path=path, source="shard0")
+        assert len(parent) == 0 and parent.events() == []
+        parent.emit("s1", "shard-accepted")
+        shard.emit("s1", "queued")
+        assert [(r["src"], r["event"]) for r in parent.events()] == [
+            ("parent", "shard-accepted"), ("shard0", "queued")]
+        assert len(shard) == 2
+        parent.close()
+        shard.close()
+        assert [r["event"] for r in AuditLog(path=path)] == [
+            "shard-accepted", "queued"]
+
+    def test_file_backed_log_keeps_no_copy_in_memory(self, tmp_path):
+        log = AuditLog(path=tmp_path / "audit.jsonl")
+        report = {"rewards": [float(i) for i in range(1000)]}
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(50):
+                log.emit(f"s{index}", "session-report", report=report)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            log.close()
+        # 50 retained copies of the report would hold > 400 KB.
+        assert grown < 100_000
+        assert len(log) == 50
+
 
 # ---------------------------------------------------------------------------
 # Service end-to-end
@@ -583,6 +618,24 @@ class ExplodingAudit(AuditLog):
         return super().emit(session_id, event, **fields)
 
 
+class SlowQueuedAudit(AuditLog):
+    """Audit log whose ``queued`` write stalls, like a slow disk."""
+
+    def emit(self, session_id, event, **fields):
+        if event == "queued":
+            time.sleep(0.2)
+        return super().emit(session_id, event, **fields)
+
+
+class FailingQueuedAudit(AuditLog):
+    """Audit log whose ``queued`` write always fails."""
+
+    def emit(self, session_id, event, **fields):
+        if event == "queued":
+            raise OSError("disk full on the JSONL path")
+        return super().emit(session_id, event, **fields)
+
+
 class TestConcurrencyRegressions:
     def test_sessions_snapshot_survives_concurrent_submit(self):
         """``sessions()`` must not iterate the dict while submit mutates it.
@@ -639,6 +692,27 @@ class TestConcurrencyRegressions:
         assert first.state == SessionState.DEPLOYED
         assert second.state == SessionState.DEPLOYED
         assert service.workers_alive() == 1
+        service.shutdown()
+
+    def test_queued_is_audited_before_any_worker_event(self):
+        """An idle worker must not audit a session ahead of its ``queued``
+        record.  Pre-fix ``submit`` wrote ``queued`` after it had queued
+        the session and woken the workers, so a slow write let the worker's
+        ``started`` land first."""
+        service = TuningService(workers=1, tuner_factory=_tiny_tuner,
+                                audit=SlowQueuedAudit()).start()
+        session = service.wait(service.submit(_request()), timeout=300)
+        service.shutdown()
+        events = [r["event"] for r in service.audit.events(session.id)]
+        assert events[:2] == ["queued", "started"]
+
+    def test_failed_queued_write_queues_nothing(self):
+        service = TuningService(workers=1, tuner_factory=_tiny_tuner,
+                                audit=FailingQueuedAudit(), autostart=False)
+        with pytest.raises(OSError):
+            service.submit(_request())
+        assert service.queue_depth() == 0
+        assert service.sessions() == []
         service.shutdown()
 
     def _registry_with_model(self, tmp_path):

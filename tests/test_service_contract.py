@@ -161,10 +161,7 @@ def _observe(service, session_id):
     recommendation = status.get("recommendation") or {}
     compression = status.get("compression", {})
     bootstrap = status.get("history_bootstrap", {})
-    # The submitting thread emits "queued" after the session is on the
-    # queue, so an idle worker's first events can land before it.
-    events = sorted(service.audit.events(session_id),
-                    key=lambda event: event["event"] != "queued")
+    events = service.audit.events(session_id)
     return {
         "events": [[event["event"], sorted(event)] for event in events],
         "state_history": status["state_history"],
